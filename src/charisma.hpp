@@ -17,8 +17,6 @@
 #include "channel/channel_bank.hpp"
 #include "channel/csi.hpp"
 #include "channel/fading.hpp"
-#include "channel/gilbert_elliott.hpp"
-#include "channel/shadowing.hpp"
 #include "channel/user_channel.hpp"
 #include "common/config.hpp"
 #include "common/math.hpp"
@@ -29,7 +27,6 @@
 #include "core/charisma.hpp"
 #include "core/fairness.hpp"
 #include "core/priority.hpp"
-#include "experiment/handoff_study.hpp"
 #include "experiment/parallel.hpp"
 #include "experiment/report.hpp"
 #include "experiment/runner.hpp"

@@ -1,5 +1,5 @@
-// The cell-attachment decision rule shared by CellularWorld and the
-// experiment-layer handoff study.
+// The cell-attachment decision rule CellularWorld applies to each user's
+// filtered pilots.
 #pragma once
 
 #include <span>

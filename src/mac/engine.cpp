@@ -134,6 +134,16 @@ void ProtocolEngine::band_release(common::UserId id) {
   identity_ = false;
 }
 
+void ProtocolEngine::touch_channels(std::span<const common::UserId> users) {
+  if (!bank_.lazy()) return;
+  touch_slots_.clear();
+  for (const common::UserId id : users) {
+    touch_slots_.push_back(
+        static_cast<common::UserId>(user(id).channel().index()));
+  }
+  bank_.materialize_users(touch_slots_);
+}
+
 const ProtocolMetrics& ProtocolEngine::run(common::Time warmup,
                                            common::Time measure) {
   if (warmup < 0.0 || measure <= 0.0) {

@@ -248,14 +248,13 @@ class ProtocolEngine {
 
   /// Declares the users this frame is about to read (slot owners, due
   /// lists, contention candidates, grant queues): a lazy bank
-  /// materializes them as one dense strip-mined batch instead of paying
-  /// scattered on-read jumps; an eager bank (the default) needs nothing.
-  /// The touch set is an optimization, not an obligation — any user read
-  /// without being declared still materializes transparently, so protocol
-  /// hooks only need to cover their hot sets.
-  void touch_channels(std::span<const common::UserId> users) {
-    if (bank_.lazy()) bank_.materialize_users(users);
-  }
+  /// materializes them as one batch instead of paying scattered on-read
+  /// jumps; an eager bank (the default) needs nothing. The touch set is an
+  /// optimization, not an obligation — any user read without being
+  /// declared still materializes transparently, so protocol hooks only
+  /// need to cover their hot sets. materialize_users takes bank slots, so
+  /// each id is mapped to its slot through user(id) first.
+  void touch_channels(std::span<const common::UserId> users);
 
   /// This user's permission probability (paper §2, p_v / p_d).
   double permission_prob(const MobileUser& u) const;
@@ -351,6 +350,9 @@ class ProtocolEngine {
   /// Closes one barring control window: freeze the raw load signals, fold
   /// them into the estimator, step the controller, sample the factors.
   void barring_control_step();
+  /// Slot scratch for touch_channels, reused across frames so the lazy
+  /// frame loop stays allocation-free.
+  std::vector<common::UserId> touch_slots_;
   bool started_ = false;
 
   /// True while slot == id for every band member with no vacancies — the

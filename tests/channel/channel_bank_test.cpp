@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "channel/fading.hpp"
 #include "channel/user_channel.hpp"
 #include "common/math.hpp"
 #include "common/rng.hpp"
@@ -64,18 +65,111 @@ TEST(ChannelBank, BatchedAdvanceEqualsPerUserAdvance) {
 TEST(ChannelBank, StationaryMomentsUnderStridedAdvance) {
   // Advancing frame-by-frame and in large strides must both preserve the
   // stationary unit-mean fading power (the k-step jump is exact, not an
-  // approximation).
+  // approximation), and each stride-k jump must correlate a branch with
+  // its previous state as rho^k: E[Re(h[n] conj(h[n+k]))] = rho^k.
+  const auto cfg = test_config();
+  const double rho = ar_rho_for(cfg.doppler_hz, cfg.sample_interval);
   for (int stride : {1, 7, 64}) {
     ChannelBank bank;
-    bank.add_user(test_config(),
+    bank.add_user(cfg,
                   common::RngStream(100 + static_cast<std::uint64_t>(stride)));
-    double sum = 0.0;
+    double sum = 0.0, corr = 0.0;
     const int n = 60000;
+    std::vector<double> re(4), im(4);
     for (int i = 1; i <= n; ++i) {
+      for (int b = 0; b < 4; ++b) {
+        re[b] = bank.fade_re(0, b);
+        im[b] = bank.fade_im(0, b);
+      }
       bank.advance_user_to(0, static_cast<double>(i) * stride * 2.5e-3);
       sum += bank.fading_power(0);
+      for (int b = 0; b < 4; ++b) {
+        corr += re[b] * bank.fade_re(0, b) + im[b] * bank.fade_im(0, b);
+      }
     }
     EXPECT_NEAR(sum / n, 1.0, 0.05) << "stride " << stride;
+    EXPECT_NEAR(corr / (4.0 * n), std::pow(rho, stride), 0.01)
+        << "stride " << stride;
+  }
+}
+
+TEST(ChannelBank, GammaMarginalMomentsAndTailPerDiversityOrder) {
+  // The effective power is the mean of L unit-exponential branch powers:
+  // Gamma(L, 1/L), so mean 1, variance 1/L and P(X > x) = Q(L, L x).
+  for (int branches : {1, 2, 4}) {
+    auto cfg = test_config();
+    cfg.diversity_branches = branches;
+    ChannelBank bank;
+    bank.add_user(cfg, common::RngStream(
+                           200 + static_cast<std::uint64_t>(branches)));
+    double sum = 0.0, sum2 = 0.0;
+    int above = 0;
+    const int n = 200000;
+    const double x = 2.0;
+    for (int i = 1; i <= n; ++i) {
+      bank.advance_user_to(0, static_cast<double>(i) * 7 * 2.5e-3);
+      const double p = bank.fading_power(0);
+      sum += p;
+      sum2 += p * p;
+      if (p > x) ++above;
+    }
+    const double mean = sum / n;
+    EXPECT_NEAR(mean, 1.0, 0.02) << "L " << branches;
+    EXPECT_NEAR(sum2 / n - mean * mean, 1.0 / branches, 0.06 / branches)
+        << "L " << branches;
+    // Stride-7 samples are all but independent (branch power correlation
+    // rho^14 ~ 0.03), so the tail fraction is held to 4 binomial standard
+    // errors: 0.0018 at L = 4, tighter than a flat 0.002.
+    const double q = common::gamma_upper_regularized(branches, branches * x);
+    EXPECT_NEAR(static_cast<double>(above) / n, q,
+                4.0 * std::sqrt(q * (1.0 - q) / n))
+        << "L " << branches;
+  }
+}
+
+TEST(ChannelBank, ShadowingAutocorrelationIsExpOfLagOverTau) {
+  // The shadowing dB process is Ornstein–Uhlenbeck: values 100 grid steps
+  // apart correlate as exp(-100 dt / tau) = exp(-1), and the process keeps
+  // mean 0 and sigma 6 dB, whether those steps are walked one at a time or
+  // jumped in strides of 10 or 100. Over a span T the sample mean and
+  // sigma have standard errors sigma sqrt(2 tau / T) and
+  // sigma sqrt(tau / 2T); both, and the correlation tolerance (0.08 at
+  // stride 1), shrink as 1/sqrt(stride).
+  auto cfg = test_config();
+  cfg.shadow_sigma_db = 6.0;
+  cfg.shadow_tau = 0.1;
+  cfg.sample_interval = 1e-3;
+  for (int stride : {1, 10, 100}) {
+    ChannelBank bank;
+    bank.add_user(cfg,
+                  common::RngStream(300 + static_cast<std::uint64_t>(stride)));
+    const int n = 200000;
+    std::vector<double> values;
+    values.reserve(n);
+    for (int i = 1; i <= n; ++i) {
+      bank.advance_user_to(0, static_cast<double>(i) * stride * 1e-3);
+      values.push_back(bank.shadow_db(0));
+    }
+    const std::size_t lag = static_cast<std::size_t>(100 / stride);
+    double c0 = 0.0, ck = 0.0;
+    for (std::size_t i = 0; i + lag < values.size(); ++i) {
+      c0 += values[i] * values[i];
+      ck += values[i] * values[i + lag];
+    }
+    EXPECT_NEAR(ck / c0, std::exp(-1.0), 0.08 / std::sqrt(stride))
+        << "stride " << stride;
+    double sum = 0.0, sum2 = 0.0;
+    for (const double v : values) {
+      sum += v;
+      sum2 += v * v;
+    }
+    const double mean = sum / n;
+    const double span = static_cast<double>(n) * stride * 1e-3;
+    EXPECT_NEAR(mean, 0.0, 4.0 * 6.0 * std::sqrt(2.0 * 0.1 / span))
+        << "stride " << stride;
+    EXPECT_NEAR(std::sqrt(sum2 / n - mean * mean), 6.0,
+                4.0 * 6.0 * std::sqrt(0.1 / (2.0 * span)))
+        << "stride " << stride;
   }
 }
 
@@ -95,6 +189,26 @@ TEST(ChannelBank, ShadowingStationarySigmaUnderStridedAdvance) {
   const double mean = sum / n;
   EXPECT_NEAR(mean, 0.0, 0.15);
   EXPECT_NEAR(std::sqrt(sum2 / n - mean * mean), 3.0, 0.15);
+}
+
+TEST(ChannelBank, ZeroShadowSigmaStaysAtZeroDb) {
+  // sigma = 0 must switch shadowing off exactly, not approximately: the
+  // dB value is 0 at every stride and the SNR is link budget x fading.
+  auto cfg = test_config();
+  cfg.shadow_sigma_db = 0.0;
+  ChannelBank bank;
+  bank.add_user(cfg, common::RngStream(11));
+  EXPECT_EQ(bank.shadow_db(0), 0.0);
+  double t = 0.0;
+  for (int stride : {1, 7, 64}) {
+    for (int i = 0; i < 100; ++i) {
+      t += stride * cfg.sample_interval;
+      bank.advance_user_to(0, t);
+      ASSERT_EQ(bank.shadow_db(0), 0.0) << "stride " << stride;
+      ASSERT_EQ(bank.snr_linear(0),
+                common::from_db(cfg.mean_snr_db) * bank.fading_power(0));
+    }
+  }
 }
 
 TEST(ChannelBank, MixedConfigsKeepPerUserBudgets) {
@@ -316,6 +430,10 @@ TEST(ChannelBank, InvalidConfigsThrow) {
   auto bad_dt = test_config();
   bad_dt.sample_interval = 0.0;
   EXPECT_THROW(bank.add_user(bad_dt, common::RngStream(1)),
+               std::invalid_argument);
+  auto bad_tau = test_config();
+  bad_tau.shadow_tau = 0.0;
+  EXPECT_THROW(bank.add_user(bad_tau, common::RngStream(1)),
                std::invalid_argument);
   auto bad_doppler = test_config();
   bad_doppler.doppler_hz = 0.0;

@@ -1,11 +1,8 @@
-// The lazy-materialization contract of ChannelBank (this PR's tentpole):
+// The lazy-materialization contract of ChannelBank:
 //
 //  * k deferred clock moves + one materialization IS one k-jump — bitwise,
 //    per diversity branch, RNG cursor included (the property that makes the
 //    closed-form jump an *implementation detail* of lazy mode);
-//  * the strip-mined kernel is width-invariant: scalar (W=1) and SIMD
-//    (W=4/8) strips produce bit-identical state, so CHARISMA_SIMD is purely
-//    a speed knob;
 //  * the touch set is an optimization, not an obligation: scattered
 //    on-read materialization equals one batched declaration, bitwise;
 //  * the materialization counters account for every user-frame exactly.
@@ -40,7 +37,7 @@ ChannelBank make_bank(int users, std::uint64_t seed0,
   bank.reserve(static_cast<std::size_t>(users));
   for (int u = 0; u < users; ++u) {
     // Mixed population: two parameter groups and two branch counts, so the
-    // strip batcher must split runs at every key change.
+    // batch loop must re-fetch jump coefficients at every key change.
     const auto cfg = mixed_population
                          ? test_config(u % 2 == 0 ? 100.0 : 220.0,
                                        u % 3 == 0 ? 2 : 4)
@@ -122,49 +119,6 @@ TEST(LazyBank, BulkAdvanceEqualsLazyMaterializeAll) {
   }
 }
 
-TEST(LazyBank, StripWidthsBitIdentical) {
-  // Scalar and SIMD strips over a mixed population with heterogeneous
-  // touch windows (so strides differ per user and strips are partial) must
-  // agree on every bit of state, every frame.
-  const int n = 23;  // not a multiple of any strip width
-  auto w1 = make_bank(n, 7, /*mixed_population=*/true);
-  auto w4 = make_bank(n, 7, /*mixed_population=*/true);
-  auto w8 = make_bank(n, 7, /*mixed_population=*/true);
-  for (ChannelBank* bank : {&w1, &w4, &w8}) bank->set_lazy(true);
-  w1.set_strip_width(1);
-  w4.set_strip_width(4);
-  w8.set_strip_width(8);
-
-  std::vector<common::UserId> ids;
-  for (int f = 1; f <= 60; ++f) {
-    const double t = static_cast<double>(f) * kDt;
-    if (f % 10 == 0) {
-      // Bulk checkpoint: the strips chew through the accumulated
-      // heterogeneous strides; afterwards everyone is comparable.
-      for (ChannelBank* bank : {&w1, &w4, &w8}) bank->advance_all_to(t);
-      expect_users_bitwise_equal(w1, w4);
-      expect_users_bitwise_equal(w1, w8);
-    } else {
-      // Rotating, variable-length window: users accrue different strides.
-      // Only the touched users are compared mid-stream — lazy reads
-      // materialize, so comparing an untouched user would itself advance
-      // the banks (see expect_user_bitwise_equal).
-      ids.clear();
-      const int len = 1 + (f % 7);
-      for (int i = 0; i < len; ++i) {
-        ids.push_back(static_cast<common::UserId>((f + i * 3) % n));
-      }
-      for (ChannelBank* bank : {&w1, &w4, &w8}) {
-        bank->advance_users_to(ids, t);
-      }
-      for (common::UserId id : ids) {
-        expect_user_bitwise_equal(w1, w4, static_cast<std::size_t>(id));
-        expect_user_bitwise_equal(w1, w8, static_cast<std::size_t>(id));
-      }
-    }
-  }
-}
-
 TEST(LazyBank, OnReadMatchesBatchedTouch) {
   // Declaring a frame's read set up front is an optimization only:
   // scattered per-read materialization (here in reverse order, mid-frame)
@@ -243,7 +197,6 @@ TEST(LazyBank, GuardsAndErrors) {
   EXPECT_THROW(bank.set_time(4 * kDt), std::logic_error);
   const common::UserId bogus[] = {99};
   EXPECT_THROW(bank.materialize_users(bogus), std::out_of_range);
-  EXPECT_THROW(bank.set_strip_width(3), std::invalid_argument);
   // Duplicates in a touch set are fine (second materialization no-ops).
   const common::UserId dupes[] = {0, 0, 1};
   EXPECT_NO_THROW(bank.materialize_users(dupes));

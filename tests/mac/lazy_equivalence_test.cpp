@@ -1,15 +1,17 @@
 // Engine/world-level contract of the opt-in lazy channel (suite name is
 // load-bearing: the lazy_equivalence_smoke ctest runs
 // --gtest_filter=LazyEquivalence* in every build config, TSan/ASan
-// included). The lazy realization is pinned invariant to the SIMD strip
-// width and to the worker thread count; the eager default keeps reporting
-// a materialization stride of exactly 1.
+// included). Every protocol runs lazily in a partial-band world, the lazy
+// realization is pinned invariant to the worker thread count, and the
+// eager default keeps reporting a materialization stride of exactly 1.
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <string>
 
+#include "channel/channel_bank.hpp"
 #include "mac/cellular_world.hpp"
+#include "mac/site_layout.hpp"
 #include "protocols/factory.hpp"
 
 namespace charisma::mac {
@@ -43,23 +45,49 @@ CellularConfig lazy_world_config(unsigned threads, std::uint64_t seed = 7) {
   return cfg;
 }
 
-TEST(LazyEquivalence, StripWidthInvariantPerProtocol) {
-  // Every protocol's lazy run must be independent of the materialization
-  // kernel's strip width — the full-engine restatement of the bank-level
-  // StripWidthsBitIdentical property, covering each protocol's touch-set
-  // hooks and on-read stragglers.
+/// `charisma_sim layout=hex cells=7 reuse=3 band=700 channel=lazy
+/// voice_users=20 data_users=4`: a 700 m band on 1000 m hex spacing, so
+/// engine bands churn and bank slots stop matching user ids.
+CellularConfig lazy_band_config(unsigned threads) {
+  CellularConfig cfg;
+  cfg.num_cells = 7;
+  cfg.num_threads = threads;
+  cfg.params.num_voice_users = 20;
+  cfg.params.num_data_users = 4;
+  cfg.params.seed = 1;
+  cfg.params.lazy_channel = true;
+  cfg.params.channel.mean_snr_db = 26.0;
+  cfg.layout.kind = SiteLayoutConfig::Kind::kHex;
+  cfg.layout.site_spacing_m = 1000.0;
+  cfg.layout.reuse_factor = 3;
+  cfg.interference_activity = 0.4;
+  cfg.pilot_band_radius_m = 700.0;
+  const auto [width, height] = SiteLayout::hex_field_extent(7, 1000.0);
+  cfg.mobility.field_width_m = width;
+  cfg.mobility.field_height_m = height;
+  cfg.mobility.speed_mps = common::km_per_hour(50.0);
+  cfg.params.channel.doppler_hz = channel::ChannelConfig::doppler_for_speed(
+      cfg.mobility.speed_mps, 2.0e9);
+  return cfg;
+}
+
+TEST(LazyEquivalence, EveryProtocolRunsLazyInPartialBand) {
+  // Each protocol's touch sets name user ids while a sparse bank is
+  // addressed by slot; the run must complete with a non-empty window,
+  // conserve handoffs, and match serial at four threads.
   for (auto id : protocols::all_protocols()) {
     SCOPED_TRACE(protocols::protocol_name(id));
-    auto run = [&](int width) {
-      auto engine = protocols::make_protocol(id, tiny_params(31));
-      engine->channel_bank().set_strip_width(width);
-      return engine->run(0.3, 1.0);
-    };
-    const auto scalar = run(1);
-    ASSERT_GT(scalar.frames, 0);
-    ASSERT_GT(scalar.voice_generated, 0);
-    EXPECT_TRUE(scalar == run(8));
-    EXPECT_TRUE(scalar == run(4));
+    CellularWorld serial(lazy_band_config(1), factory_for(id));
+    serial.run(0.2, 1.0);
+    const auto reference = serial.aggregate_metrics();
+    ASSERT_GT(reference.frames, 0);
+    ASSERT_GT(reference.voice_generated, 0);
+    EXPECT_EQ(reference.handoffs_in,
+              reference.handoffs_out + reference.outage_evictions);
+    CellularWorld parallel(lazy_band_config(4), factory_for(id));
+    parallel.run(0.2, 1.0);
+    EXPECT_EQ(serial.handoffs(), parallel.handoffs());
+    EXPECT_TRUE(reference == parallel.aggregate_metrics());
   }
 }
 
