@@ -52,8 +52,5 @@
 #include "protocols/prma.hpp"
 #include "protocols/rama.hpp"
 #include "protocols/rmav.hpp"
-#include "sim/event_queue.hpp"
-#include "sim/frame_clock.hpp"
-#include "sim/simulator.hpp"
 #include "traffic/data_source.hpp"
 #include "traffic/voice_source.hpp"

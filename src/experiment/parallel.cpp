@@ -1,9 +1,9 @@
 #include "experiment/parallel.hpp"
 
-#include <atomic>
-#include <exception>
-#include <mutex>
+#include <algorithm>
 #include <thread>
+
+#include "experiment/worker_pool.hpp"
 
 namespace charisma::experiment {
 
@@ -15,38 +15,11 @@ ParallelRunner::ParallelRunner(unsigned threads) : threads_(threads) {
 
 void ParallelRunner::run(const std::vector<std::function<void()>>& jobs) const {
   if (jobs.empty()) return;
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> failed{false};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-
-  auto worker = [&] {
-    // Stop claiming new jobs once any job has failed; the sweep's results
-    // are void anyway and the caller sees the error sooner.
-    while (!failed.load(std::memory_order_acquire)) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= jobs.size()) return;
-      try {
-        jobs[i]();
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
-        }
-        failed.store(true, std::memory_order_release);
-      }
-    }
-  };
-
-  const unsigned n = std::min<unsigned>(
-      threads_, static_cast<unsigned>(jobs.size()));
-  std::vector<std::jthread> pool;
-  pool.reserve(n > 1 ? n - 1 : 0);
-  for (unsigned t = 1; t < n; ++t) pool.emplace_back(worker);
-  worker();  // this thread participates
-  pool.clear();  // join
-
-  if (first_error) std::rethrow_exception(first_error);
+  // One pool per call, never wider than the job list; the pool's
+  // claim/fail-fast/rethrow contract is exactly this method's.
+  WorkerPool pool(
+      std::min<unsigned>(threads_, static_cast<unsigned>(jobs.size())));
+  pool.for_each(jobs.size(), [&jobs](std::size_t i) { jobs[i](); });
 }
 
 }  // namespace charisma::experiment

@@ -1,7 +1,7 @@
-// A small work-stealing-free thread pool for embarrassingly parallel
-// simulation jobs (independent replications / sweep points). Each job owns
-// its entire world (engine, RNG streams), so jobs share nothing and the
-// pool needs no synchronization beyond the work index.
+// Runs embarrassingly parallel simulation jobs (independent replications /
+// sweep points) on a WorkerPool spawned for the call. Each job owns its
+// entire world (engine, RNG streams), so jobs share nothing and need no
+// synchronization beyond the pool's work index.
 #pragma once
 
 #include <functional>

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "mac/engine.hpp"
 #include "mac/request_queue.hpp"
@@ -44,9 +45,21 @@ class DrmaProtocol : public mac::ProtocolEngine {
   }
 
  private:
+  /// Set operations on engaged_, kept sorted so membership is a binary
+  /// search.
+  bool engaged(common::UserId id) const;
+  void engage(common::UserId id);
+  void disengage(common::UserId id);
+
   DrmaOptions options_;
   mac::ReservationGrid grid_;
   mac::RequestQueue queue_;
+  // Per-frame scratch, reused across frames so the steady-state frame loop
+  // stays allocation-free.
+  std::vector<mac::PendingRequest> pending_;   ///< requests awaiting a slot
+  std::vector<common::UserId> engaged_;        ///< queued or won this frame
+  std::vector<common::UserId> touched_;        ///< this frame's touch set
+  std::vector<common::UserId> candidates_;     ///< one conversion's contenders
 };
 
 }  // namespace charisma::protocols

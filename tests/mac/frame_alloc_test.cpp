@@ -1,13 +1,8 @@
 // Pins the allocation-free frame loop: steady-state frame advancement must
-// perform zero heap allocations. Two layers of evidence:
-//
-//   * a program-wide operator new/delete override counts every allocation
-//     crossing the global heap, and a periodic-slot simulator run is
-//     required not to move the counter at all;
-//   * the engine-level test reads the instrumented EventQueue stat
-//     (queue_events_scheduled) through a real protocol engine and requires
-//     the frame loop never to touch the allocating queue path — including
-//     RMAV, whose frames have data-dependent durations.
+// perform zero heap allocations. A program-wide operator new/delete
+// override counts every allocation crossing the global heap, and warm
+// world epochs, band maintenance and the ARQ retransmission path are
+// required not to move the counter.
 //
 // The override lives in this TU but (by the ODR rules for replaceable
 // global operators) serves the whole test binary; it only counts, so the
@@ -24,7 +19,6 @@
 #include "mac/scenario.hpp"
 #include "mac/site_layout.hpp"
 #include "protocols/factory.hpp"
-#include "sim/simulator.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -79,103 +73,48 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
 
-namespace charisma::sim {
+namespace charisma {
 namespace {
-
-TEST(FrameAlloc, PeriodicSlotAdvancesWithoutAllocating) {
-  Simulator sim;
-  std::uint64_t ticks = 0;
-  sim.set_periodic(0.0, [&ticks]() -> common::Time {
-    ++ticks;
-    return 2.5e-3;
-  });
-  sim.run_until(1.0);  // warm up: the slot itself was installed above
-  const std::uint64_t ticks_before = ticks;
-  const std::uint64_t allocs_before =
-      g_allocations.load(std::memory_order_relaxed);
-  sim.run_until(11.0);
-  const std::uint64_t allocs_after =
-      g_allocations.load(std::memory_order_relaxed);
-  EXPECT_EQ(allocs_after - allocs_before, 0u);
-  // 10 s / 2.5 ms, ±1 for floating-point drift at the window edges.
-  EXPECT_GE(ticks - ticks_before, 3999u);
-  EXPECT_LE(ticks - ticks_before, 4001u);
-  EXPECT_EQ(sim.queue_events_scheduled(), 0u);
-}
-
-TEST(FrameAlloc, VariableTickPeriodStillAllocationFree) {
-  // RMAV/DRMA-style data-dependent frame durations: the returned delay
-  // changes every firing and must not cost a reschedule allocation.
-  Simulator sim;
-  int phase = 0;
-  sim.set_periodic(0.0, [&phase]() -> common::Time {
-    phase = (phase + 1) % 3;
-    return 1e-3 * static_cast<double>(1 + phase);
-  });
-  sim.run_until(0.5);
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  sim.run_until(5.0);
-  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
-}
-
-TEST(FrameAlloc, EngineFrameLoopNeverTouchesTheEventQueue) {
-  // Full protocol engines, static and variable frame durations: thousands
-  // of frames, zero EventQueue nodes (each node would be a heap node and
-  // usually a std::function allocation).
-  for (auto id :
-       {protocols::ProtocolId::kDtdmaFr, protocols::ProtocolId::kRmav,
-        protocols::ProtocolId::kCharisma}) {
-    mac::ScenarioParams params;
-    params.num_voice_users = 6;
-    params.num_data_users = 2;
-    params.seed = 5;
-    auto engine = protocols::make_protocol(id, params);
-    engine->run(0.5, 2.0);
-    EXPECT_EQ(engine->simulator().queue_events_scheduled(), 0u)
-        << protocols::protocol_name(id);
-    EXPECT_GT(engine->metrics().frames, 0);
-  }
-}
 
 TEST(FrameAlloc, SteadyStateWorldEpochsAreAllocationFree) {
   // The sharded coordinator's epoch path end to end: mobility, SiteIndex
   // band queries, shard proposal arenas, pilot blending, the attachment
-  // rule, the SNR/SINR planes, and the per-cell frame burns. Static users
-  // (speed 0) pin the world plane's steady state — no band churn, no
-  // handoffs — and a near-infinite silence keeps the MAC quiet: every
-  // protocol's per-frame scratch vector stays empty (an empty std::vector
-  // never touches the heap), so the whole epoch must allocate nothing.
-  // Active traffic is exercised by the engine-level queue-stat test above;
-  // this one pins the world machinery this PR parallelized.
-  mac::CellularConfig cfg;
-  cfg.num_cells = 4;
-  cfg.num_threads = 1;  // the inline dispatch path — no worker handoff
-  cfg.num_shards = 3;   // shard arenas live even when dispatch is inline
-  cfg.params.num_voice_users = 12;
-  cfg.params.num_data_users = 0;
-  cfg.params.seed = 7;
-  cfg.params.mean_silence_s = 1e9;  // silent after the initial talkspurts
-  cfg.pilot_band_radius_m = 700.0;  // sparse bands: SiteIndex runs per epoch
-  cfg.mobility.field_width_m = 2000.0;
-  cfg.mobility.field_height_m = 400.0;
-  cfg.mobility.speed_mps = 0.0;
-  cfg.handoff_hysteresis_db = 2.0;
-  mac::CellularWorld world(
-      cfg, [](const mac::ScenarioParams& params) {
-        return protocols::make_protocol(protocols::ProtocolId::kCharisma,
-                                        params);
-      });
-  ASSERT_EQ(world.shard_count(), 3u);
-  world.run(0.5, 0.5);  // warmup + one measured window grows all scratch
-  // Settling: let the initial talkspurts (mean 1 s) drain so the MAC's
-  // per-frame candidate lists are empty in the counted window.
-  world.advance(4.0);
-  const std::uint64_t before =
-      g_allocations.load(std::memory_order_relaxed);
-  world.advance(1.0);  // 50 epochs at the default decision interval
-  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
-  // The world actually ran: frames burned for the attached population.
-  EXPECT_GT(world.aggregate_metrics().attached_user_frames, 0);
+  // rule, the SNR/SINR planes, and the per-cell frame burns — under every
+  // protocol. Static users (speed 0) pin the world plane's steady state —
+  // no band churn, no handoffs — and a near-infinite silence keeps the MAC
+  // quiet: every protocol's per-frame scratch stays empty or at its warm
+  // capacity, so the whole epoch must allocate nothing. Active traffic is
+  // exercised by RetransmittingDataScenarioStaysAllocationFree below.
+  for (const auto id : protocols::all_protocols()) {
+    SCOPED_TRACE(protocols::protocol_name(id));
+    mac::CellularConfig cfg;
+    cfg.num_cells = 4;
+    cfg.num_threads = 1;  // the inline dispatch path — no worker handoff
+    cfg.num_shards = 3;   // shard arenas live even when dispatch is inline
+    cfg.params.num_voice_users = 12;
+    cfg.params.num_data_users = 0;
+    cfg.params.seed = 7;
+    cfg.params.mean_silence_s = 1e9;  // silent after the initial talkspurts
+    cfg.pilot_band_radius_m = 700.0;  // sparse bands: SiteIndex per epoch
+    cfg.mobility.field_width_m = 2000.0;
+    cfg.mobility.field_height_m = 400.0;
+    cfg.mobility.speed_mps = 0.0;
+    cfg.handoff_hysteresis_db = 2.0;
+    mac::CellularWorld world(cfg, [id](const mac::ScenarioParams& params) {
+      return protocols::make_protocol(id, params);
+    });
+    ASSERT_EQ(world.shard_count(), 3u);
+    world.run(0.5, 0.5);  // warmup + one measured window grows all scratch
+    // Settling: let the initial talkspurts (mean 1 s) drain so the MAC's
+    // per-frame candidate lists are empty in the counted window.
+    world.advance(4.0);
+    const std::uint64_t before =
+        g_allocations.load(std::memory_order_relaxed);
+    world.advance(1.0);  // 50 epochs at the default decision interval
+    EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
+    // The world actually ran: frames burned for the attached population.
+    EXPECT_GT(world.aggregate_metrics().attached_user_frames, 0);
+  }
 }
 
 TEST(FrameAlloc, SiteIndexRebuildReusesBucketStorage) {
@@ -245,8 +184,9 @@ TEST(FrameAlloc, RetransmittingDataScenarioStaysAllocationFree) {
     const std::uint64_t before =
         g_allocations.load(std::memory_order_relaxed);
     engine->run(0.0, 1.0);
-    // run() itself installs one std::function periodic slot — a per-call
-    // constant. The 400-frame retransmission loop inside must add nothing.
+    // run() itself allocates once — a per-call constant: its
+    // ProtocolMetrics::reset() builds a fresh data_delay_hist vector. The
+    // 400-frame retransmission loop inside must add nothing.
     EXPECT_LE(g_allocations.load(std::memory_order_relaxed) - before, 1u);
     // The pin is vacuous unless the retransmission cycle actually ran. FR
     // attempts every granted slot; VR only when its (badly mistaken) CSI
@@ -258,4 +198,4 @@ TEST(FrameAlloc, RetransmittingDataScenarioStaysAllocationFree) {
 }
 
 }  // namespace
-}  // namespace charisma::sim
+}  // namespace charisma
