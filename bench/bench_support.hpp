@@ -96,27 +96,16 @@ class LegacyChannelWalk {
   std::vector<std::unique_ptr<User>> users_;
 };
 
-inline double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::atof(v) : fallback;
-}
-
-inline int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::atoi(v) : fallback;
-}
-
-/// Like env_int but through KeyValueConfig::parse_count, so population
-/// knobs accept magnitude suffixes: CHARISMA_BENCH_WORLD_USERS=250k / 1M.
+/// Integer knob through KeyValueConfig::parse_count, so population knobs
+/// accept magnitude suffixes (CHARISMA_BENCH_WORLD_USERS=250k / 1M) and
+/// anything else after the number throws naming the knob.
 inline long long env_count(const char* name, long long fallback) {
   const char* v = std::getenv(name);
   return v != nullptr ? common::KeyValueConfig::parse_count(name, v)
                       : fallback;
 }
 
-/// env_count narrowed to int: the suffix-aware replacement for env_int on
-/// integer knobs (CELLS=1k works; an unknown suffix throws naming the
-/// knob, instead of atoi's silent truncation).
+/// env_count narrowed to int (CELLS=1k works; CELLS=3x throws).
 inline int env_count_int(const char* name, int fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr) return fallback;
@@ -129,11 +118,11 @@ inline int env_count_int(const char* name, int fallback) {
   return static_cast<int>(n);
 }
 
-/// Duration knobs: a plain decimal ("0.3") passes through unchanged;
-/// anything with a trailing suffix goes through parse_count, which accepts
-/// k/M magnitudes and rejects unknown suffixes naming the knob (so
-/// MEASURE=10x fails loudly instead of atof-truncating to 10).
-inline double env_seconds(const char* name, double fallback) {
+/// Real-valued knob (durations, activities, radii): a plain decimal
+/// ("0.3") passes through unchanged; anything with a trailing suffix goes
+/// through parse_count, which accepts k/M magnitudes and rejects anything
+/// else naming the knob (so MEASURE=10x or ACTIVITY=O.4 fails loudly).
+inline double env_real(const char* name, double fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr) return fallback;
   char* end = nullptr;
@@ -169,8 +158,8 @@ inline long long current_rss_bytes() {
 
 inline experiment::RunSpec standard_spec(int default_reps = 2) {
   experiment::RunSpec spec;
-  spec.warmup_s = env_seconds("CHARISMA_BENCH_WARMUP", 4.0);
-  spec.measure_s = env_seconds("CHARISMA_BENCH_MEASURE", 12.0);
+  spec.warmup_s = env_real("CHARISMA_BENCH_WARMUP", 4.0);
+  spec.measure_s = env_real("CHARISMA_BENCH_MEASURE", 12.0);
   spec.replications = env_count_int("CHARISMA_BENCH_REPS", default_reps);
   return spec;
 }

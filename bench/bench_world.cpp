@@ -178,7 +178,7 @@ int main() {
   const int voice = bench::env_count_int("CHARISMA_BENCH_WORLD_VOICE", 96);
   const int data = bench::env_count_int("CHARISMA_BENCH_WORLD_DATA", 24);
   const double measure_s =
-      bench::env_seconds("CHARISMA_BENCH_WORLD_MEASURE", 8.0);
+      bench::env_real("CHARISMA_BENCH_WORLD_MEASURE", 8.0);
   const int reps =
       std::max(1, bench::env_count_int("CHARISMA_BENCH_WORLD_REPS", 3));
   const double warmup_s = std::min(0.5, measure_s * 0.25);
@@ -404,7 +404,7 @@ int main() {
   const int mem_cells =
       bench::env_count_int("CHARISMA_BENCH_WORLD_MEMORY_CELLS", 91);
   const double band_radius_m =
-      bench::env_double("CHARISMA_BENCH_WORLD_BAND", 1200.0);
+      bench::env_real("CHARISMA_BENCH_WORLD_BAND", 1200.0);
   std::ostringstream memory_fields;
   if (mem_users > 0) {
     const int total = static_cast<int>(mem_users);

@@ -19,8 +19,9 @@ int main() {
       "Handoff: voice packet loss versus user speed (multi-cell mobility)",
       "Kwok & Lau, Sec. 6 future work (no paper figure; CHARISMA extension)");
 
-  const int cells = std::max(2, bench::env_int("CHARISMA_BENCH_CELLS", 2));
-  const int voice_users = bench::env_int("CHARISMA_BENCH_VOICE", 60);
+  const int cells =
+      std::max(2, bench::env_count_int("CHARISMA_BENCH_CELLS", 2));
+  const int voice_users = bench::env_count_int("CHARISMA_BENCH_VOICE", 60);
   const auto spec = bench::standard_spec(/*default_reps=*/1);
   const double speeds_kmh[] = {3.0, 30.0, 60.0, 120.0};
 

@@ -76,12 +76,12 @@ int main() {
       "plus cell-outage recovery",
       "CHARISMA extension (no paper figure); PR 6 trajectory point");
 
-  const int voice = bench::env_int("CHARISMA_BENCH_OVERLOAD_VOICE", 60);
-  const int data = bench::env_int("CHARISMA_BENCH_OVERLOAD_DATA", 10);
+  const int voice = bench::env_count_int("CHARISMA_BENCH_OVERLOAD_VOICE", 60);
+  const int data = bench::env_count_int("CHARISMA_BENCH_OVERLOAD_DATA", 10);
   const double warmup_s =
-      bench::env_double("CHARISMA_BENCH_OVERLOAD_WARMUP", 2.0);
+      bench::env_real("CHARISMA_BENCH_OVERLOAD_WARMUP", 2.0);
   const double measure_s =
-      bench::env_double("CHARISMA_BENCH_OVERLOAD_MEASURE", 4.0);
+      bench::env_real("CHARISMA_BENCH_OVERLOAD_MEASURE", 4.0);
   const auto factor_tokens =
       split_csv(env_str("CHARISMA_BENCH_OVERLOAD_FACTORS", "1,2,5,10"));
   const auto protocol_names =

@@ -52,9 +52,10 @@ int main() {
       parse_list(env_or("CHARISMA_BENCH_REUSE_CELLS", "7"));
   const auto reuse_list =
       parse_list(env_or("CHARISMA_BENCH_REUSE_FACTORS", "1,3,7"));
-  const int voice_users = bench::env_int("CHARISMA_BENCH_REUSE_VOICE", 40);
+  const int voice_users =
+      bench::env_count_int("CHARISMA_BENCH_REUSE_VOICE", 40);
   const double activity =
-      bench::env_double("CHARISMA_BENCH_REUSE_ACTIVITY", 0.4);
+      bench::env_real("CHARISMA_BENCH_REUSE_ACTIVITY", 0.4);
   const auto spec = bench::standard_spec(/*default_reps=*/1);
 
   std::cout << voice_users << " voice + 5 data users, activity factor "

@@ -29,8 +29,9 @@ void BM_UserChannelFrameStep(benchmark::State& state) {
 BENCHMARK(BM_UserChannelFrameStep);
 
 void BM_RngNormal(benchmark::State& state) {
-  // In-house Box-Muller (cached spare) — the innovation generator of the
-  // batched channel hot path.
+  // In-house Box-Muller (cached spare): per-user SNR spread and CSI
+  // estimation-error draws. The channel bank draws its innovations from
+  // the SplitMix64 ziggurat instead.
   common::RngStream rng(1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(rng.normal());
@@ -38,16 +39,6 @@ void BM_RngNormal(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RngNormal);
-
-void BM_RngNormalFast(benchmark::State& state) {
-  // Ziggurat generator feeding the batched channel innovations.
-  common::RngStream rng(1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rng.normal_fast());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RngNormalFast);
 
 void BM_RngNormalStdBaseline(benchmark::State& state) {
   // What RngStream::normal() used to do: a fresh std::normal_distribution

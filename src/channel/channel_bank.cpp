@@ -77,65 +77,31 @@ void validate_channel_config(const ChannelConfig& config) {
 std::size_t ChannelBank::add_user(const ChannelConfig& config,
                                   common::RngStream rng) {
   validate_channel_config(config);
-  const double fade_rho =
-      ar_rho_for(config.doppler_hz, config.sample_interval);
-  const double shadow_rho =
-      std::exp(-config.sample_interval / config.shadow_tau);
-
+  // Append an empty row, then seed it exactly as acquire_user re-seeds a
+  // recycled one.
   const std::size_t user = configs_.size();
   configs_.push_back(config);
+  rng_.push_back(common::SplitMix64(0));
   branch_begin_.push_back(fade_re_.size());
   branch_count_.push_back(config.diversity_branches);
-  mean_snr_linear_.push_back(common::from_db(config.mean_snr_db));
-  mean_snr_db_.push_back(config.mean_snr_db);
+  const auto branches = static_cast<std::size_t>(config.diversity_branches);
+  fade_re_.resize(fade_re_.size() + branches);
+  fade_im_.resize(fade_im_.size() + branches);
+  mean_snr_linear_.push_back(0.0);
+  mean_snr_db_.push_back(0.0);
   interference_db_.push_back(0.0);
-  interference_linear_.push_back(1.0);
-  inv_branch_count_.push_back(1.0 /
-                              static_cast<double>(config.diversity_branches));
-  shadow_sigma_db_.push_back(config.shadow_sigma_db);
-  dt_.push_back(config.sample_interval);
-  group_.push_back(group_for(fade_rho, shadow_rho));
-
-  // Register the sample interval with the lazy clock: one floor() per
-  // distinct dt per set_time, one table slot per user.
-  std::size_t di = 0;
-  while (di < distinct_dts_.size() && distinct_dts_[di] != config.sample_interval) {
-    ++di;
-  }
-  if (di == distinct_dts_.size()) {
-    distinct_dts_.push_back(config.sample_interval);
-    dt_targets_.push_back(static_cast<std::int64_t>(
-        std::floor(bank_time_ / config.sample_interval + 1e-9)));
-  }
-  dt_index_.push_back(static_cast<std::uint32_t>(di));
-  // A row added mid-run starts stationary *now* — at the clock's current
-  // step for its dt — not at step 0 (which would turn its first touch into
-  // one giant catch-up jump). At construction time both are step 0, so the
-  // historical sequences are unchanged.
-  step_.push_back(dt_targets_[di]);
-
-  // The user's RngStream seeds its compact per-user innovation engine.
-  common::SplitMix64 fast(rng.engine()());
-  const auto& zig = common::detail::ziggurat_tables();
-
-  // Stationary start: per branch an I then a Q component, then the
-  // shadowing value.
-  double power = 0.0;
-  for (int b = 0; b < config.diversity_branches; ++b) {
-    const double re = kHalfPower * fast.normal(zig);
-    const double im = kHalfPower * fast.normal(zig);
-    fade_re_.push_back(re);
-    fade_im_.push_back(im);
-    power += re * re + im * im;
-  }
-  fading_power_.push_back(power /
-                          static_cast<double>(config.diversity_branches));
-  const double shadow = config.shadow_sigma_db * fast.normal(zig);
-  shadow_db_.push_back(shadow);
-  shadow_linear_.push_back(common::from_db(shadow));
-  rng_.push_back(fast);
+  interference_linear_.push_back(0.0);
+  shadow_sigma_db_.push_back(0.0);
+  inv_branch_count_.push_back(0.0);
+  dt_.push_back(0.0);
+  step_.push_back(0);
+  group_.push_back(0);
+  fading_power_.push_back(0.0);
+  shadow_db_.push_back(0.0);
+  shadow_linear_.push_back(0.0);
+  dt_index_.push_back(0);
   vacant_.push_back(0);
-  active_dirty_ = true;
+  seed_row(user, config, rng);
   return user;
 }
 
@@ -153,13 +119,20 @@ std::size_t ChannelBank::acquire_user(const ChannelConfig& config,
   if (pick == free_slots_.size()) return add_user(config, rng);
 
   validate_channel_config(config);
+  const std::size_t user = free_slots_[pick];
+  free_slots_.erase(free_slots_.begin() + static_cast<std::ptrdiff_t>(pick));
+  seed_row(user, config, rng);
+  vacant_[user] = 0;
+  --vacant_count_;
+  return user;
+}
+
+void ChannelBank::seed_row(std::size_t user, const ChannelConfig& config,
+                           common::RngStream& rng) {
   const double fade_rho =
       ar_rho_for(config.doppler_hz, config.sample_interval);
   const double shadow_rho =
       std::exp(-config.sample_interval / config.shadow_tau);
-
-  const std::size_t user = free_slots_[pick];
-  free_slots_.erase(free_slots_.begin() + static_cast<std::ptrdiff_t>(pick));
   configs_[user] = config;
   mean_snr_linear_[user] = common::from_db(config.mean_snr_db);
   mean_snr_db_[user] = config.mean_snr_db;
@@ -171,6 +144,8 @@ std::size_t ChannelBank::acquire_user(const ChannelConfig& config,
   dt_[user] = config.sample_interval;
   group_[user] = group_for(fade_rho, shadow_rho);
 
+  // Register the sample interval with the lazy clock: one floor() per
+  // distinct dt per set_time, one table slot per user.
   std::size_t di = 0;
   while (di < distinct_dts_.size() &&
          distinct_dts_[di] != config.sample_interval) {
@@ -182,11 +157,18 @@ std::size_t ChannelBank::acquire_user(const ChannelConfig& config,
         std::floor(bank_time_ / config.sample_interval + 1e-9)));
   }
   dt_index_[user] = static_cast<std::uint32_t>(di);
-  step_[user] = dt_targets_[di];  // stationary at the acquisition instant
+  // A row seeded mid-run starts stationary *now* — at the clock's current
+  // step for its dt — not at step 0 (which would turn its first touch into
+  // one giant catch-up jump). At construction time both are step 0, so the
+  // historical sequences are unchanged.
+  step_[user] = dt_targets_[di];
 
-  // Identical re-seed + stationary-start draw order to add_user.
+  // The user's RngStream seeds its compact per-user innovation engine.
   common::SplitMix64 fast(rng.engine()());
   const auto& zig = common::detail::ziggurat_tables();
+
+  // Stationary start: per branch an I then a Q component, then the
+  // shadowing value.
   const std::size_t begin = branch_begin_[user];
   double power = 0.0;
   for (int b = 0; b < config.diversity_branches; ++b) {
@@ -202,10 +184,7 @@ std::size_t ChannelBank::acquire_user(const ChannelConfig& config,
   shadow_db_[user] = shadow;
   shadow_linear_[user] = common::from_db(shadow);
   rng_[user] = fast;
-  vacant_[user] = 0;
-  --vacant_count_;
   active_dirty_ = true;
-  return user;
 }
 
 void ChannelBank::release_user(std::size_t slot) {
@@ -491,62 +470,6 @@ void ChannelBank::set_interference_db_all(std::span<const double> db) {
   double* dst = interference_linear_.data();
   for (std::size_t u = 0; u < n; ++u) {
     dst[u] = common::from_db(-src[u]);
-  }
-}
-
-void ChannelBank::set_mean_snr_db_range(std::size_t first,
-                                        std::span<const double> db) {
-  if (first + db.size() > configs_.size()) {
-    throw std::out_of_range("ChannelBank::set_mean_snr_db_range: bad range");
-  }
-  const bool sparse = vacant_count_ != 0;
-  for (std::size_t i = 0; i < db.size(); ++i) {
-    const std::size_t u = first + i;
-    if (sparse && vacant_[u]) continue;  // free-list row: never read
-    configs_[u].mean_snr_db = db[i];
-    mean_snr_db_[u] = db[i];
-    mean_snr_linear_[u] = common::from_db(db[i]);
-  }
-}
-
-void ChannelBank::set_interference_db_range(std::size_t first,
-                                            std::span<const double> db) {
-  if (first + db.size() > configs_.size()) {
-    throw std::out_of_range(
-        "ChannelBank::set_interference_db_range: bad range");
-  }
-  const bool sparse = vacant_count_ != 0;
-  for (std::size_t i = 0; i < db.size(); ++i) {
-    const std::size_t u = first + i;
-    if (sparse && vacant_[u]) continue;
-    interference_db_[u] = db[i];
-    interference_linear_[u] = common::from_db(-db[i]);
-  }
-}
-
-void ChannelBank::snr_db_range(std::size_t first, std::span<double> out) const {
-  if (first + out.size() > configs_.size()) {
-    throw std::out_of_range("ChannelBank::snr_db_range: bad range");
-  }
-  if (lazy_) {
-    // Materialization walks bank-wide stride/jump bookkeeping — not a
-    // per-row operation; lazy banks must snapshot through snr_db_all.
-    throw std::logic_error("ChannelBank::snr_db_range: bank is lazy");
-  }
-  constexpr double kTenOverLn10 = 4.342944819032518;  // 10 / ln(10)
-  const double* mean_db = mean_snr_db_.data();
-  const double* shadow = shadow_db_.data();
-  const double* fade = fading_power_.data();
-  const double* interf = interference_db_.data();
-  double* dst = out.data();
-  const bool sparse = vacant_count_ != 0;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const std::size_t u = first + i;
-    if (sparse && vacant_[u]) continue;  // caller owns out's stale entries
-    // Subtracting the interference penalty last keeps the interference-free
-    // value (penalty 0.0) bit-identical to the pre-SINR pilot plane.
-    dst[i] = mean_db[u] + shadow[u] + kTenOverLn10 * std::log(fade[u]) -
-             interf[u];
   }
 }
 

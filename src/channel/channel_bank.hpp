@@ -172,27 +172,6 @@ class ChannelBank {
   /// both guarantees are pinned by tests/channel/channel_bank_test.cpp.
   void set_interference_db_all(std::span<const double> db);
 
-  // ---- Shard-safe contiguous-row spans (sharded world plane) ----
-  // Each call touches exactly rows [first, first + span.size()): per-row
-  // flat-array stores/loads with no shared mutable state (the _all
-  // variants' active-list refresh is replaced by a per-row vacancy test),
-  // so concurrent calls on DISJOINT row ranges of one bank are data-race
-  // free — the property the sharded epoch plane relies on. Vacant rows in
-  // range are skipped (writes) / left untouched (reads), matching the _all
-  // semantics row for row. snr_db_range additionally requires an eager
-  // bank: the lazy path's materialization mutates bank-wide state and must
-  // go through snr_db_all on one thread.
-
-  /// set_mean_snr_db_all restricted to rows [first, first + db.size());
-  /// db[i] addresses row first + i.
-  void set_mean_snr_db_range(std::size_t first, std::span<const double> db);
-  /// set_interference_db_all restricted to rows [first, first + db.size()).
-  void set_interference_db_range(std::size_t first,
-                                 std::span<const double> db);
-  /// snr_db_all restricted to rows [first, first + out.size()); out[i] is
-  /// row first + i. Eager banks only (throws logic_error on a lazy bank).
-  void snr_db_range(std::size_t first, std::span<double> out) const;
-
   /// Current SINR penalty (dB) applied to `user`'s reads; 0 by default.
   double interference_db(std::size_t user) const {
     return interference_db_[user];
@@ -286,6 +265,12 @@ class ChannelBank {
   static JumpCoeffs shared_coeffs(double fade_rho, double shadow_rho,
                                   std::int64_t k);
   void jump_user(std::size_t user, const JumpCoeffs& c);
+
+  /// Writes row `user`'s config, lazy-clock registration and stationary
+  /// I/Q + shadowing start drawn from `rng` (the shared seeding of add_user
+  /// and acquire_user). The row's branch storage must already fit.
+  void seed_row(std::size_t user, const ChannelConfig& config,
+                common::RngStream& rng);
 
   /// Materializes one user up to the bank clock (lazy read path).
   void materialize_user(std::size_t user);

@@ -8,44 +8,11 @@ namespace charisma::common {
 
 namespace {
 
-// ln(k!) for the PTRS acceptance test: exact table for small k, Stirling's
-// series beyond it (absolute error < 1e-11 for k >= 16).
-double ln_factorial(long k) {
-  static constexpr double kTable[] = {
-      0.0,
-      0.0,
-      0.6931471805599453,
-      1.791759469228055,
-      3.1780538303479458,
-      4.787491742782046,
-      6.579251212010101,
-      8.525161361065415,
-      10.60460290274525,
-      12.801827480081469,
-      15.104412573075516,
-      17.502307845873887,
-      19.987214495661885,
-      22.552163853123425,
-      25.19122118273868,
-      27.89927138384089,
-  };
-  if (k < 16) return kTable[k];
-  const double x = static_cast<double>(k) + 1.0;
-  const double inv = 1.0 / x;
-  const double inv2 = inv * inv;
-  return (x - 0.5) * std::log(x) - x +
-         0.5 * std::log(2.0 * std::numbers::pi) +
-         inv * (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 / 1260.0));
-}
-
 // Adapts the mt19937_64 engine to the shared distribution templates'
-// Source concept (next() -> uint64, uniform() -> [0, 1)).
+// Source concept (next() -> uint64).
 struct Mt19937Source {
   std::mt19937_64& engine;
   std::uint64_t next() { return engine(); }
-  double uniform() {
-    return static_cast<double>(engine() >> 11) * 0x1.0p-53;
-  }
 };
 
 // Adapts CompactRngStream's splitmix64 counter to the same concept. The
@@ -56,9 +23,6 @@ struct SplitMixCounterSource {
   std::uint64_t& state;
   std::uint64_t next() {
     return detail::splitmix64_mix(state += detail::kSplitMixGamma);
-  }
-  double uniform() {
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
   }
 };
 
@@ -127,61 +91,6 @@ double normal_from(Source src, double& spare, bool& has_spare) {
   spare = radius * std::sin(theta);
   has_spare = true;
   return radius * std::cos(theta);
-}
-
-template <typename Source>
-double rayleigh_amplitude_from(Source src, double mean_square) {
-  if (mean_square <= 0.0) {
-    throw std::domain_error("rayleigh_amplitude: mean_square must be positive");
-  }
-  // If X = sqrt(-mean_square * ln U) then E[X^2] = mean_square.
-  double u = uniform_from(src);
-  if (u <= 0.0) u = 0x1.0p-53;
-  return std::sqrt(-mean_square * std::log(u));
-}
-
-template <typename Source>
-int poisson_ptrs_from(Source src, double mean) {
-  // Hörmann's PTRS transformed rejection (W. Hörmann, "The transformed
-  // rejection method for generating Poisson random variables", 1993).
-  // Valid for mean >= 10; expected uniforms per variate < 2.5.
-  const double slam = std::sqrt(mean);
-  const double loglam = std::log(mean);
-  const double b = 0.931 + 2.53 * slam;
-  const double a = -0.059 + 0.02483 * b;
-  const double invalpha = 1.1239 + 1.1328 / (b - 3.4);
-  const double vr = 0.9277 - 3.6224 / (b - 2.0);
-  for (;;) {
-    const double u = uniform_from(src) - 0.5;
-    const double v = uniform_from(src);
-    const double us = 0.5 - std::fabs(u);
-    const auto k =
-        static_cast<long>(std::floor((2.0 * a / us + b) * u + mean + 0.43));
-    if (us >= 0.07 && v <= vr) return static_cast<int>(k);
-    if (k < 0 || (us < 0.013 && v > us)) continue;
-    if (std::log(v) + std::log(invalpha) - std::log(a / (us * us) + b) <=
-        k * loglam - mean - ln_factorial(k)) {
-      return static_cast<int>(k);
-    }
-  }
-}
-
-template <typename Source>
-int poisson_from(Source src, double mean) {
-  if (mean < 0.0) throw std::domain_error("poisson: mean must be >= 0");
-  if (mean == 0.0) return 0;
-  if (mean < 10.0) {
-    // Knuth: count uniforms whose running product stays above e^-mean.
-    const double limit = std::exp(-mean);
-    int k = 0;
-    double product = uniform_from(src);
-    while (product > limit) {
-      ++k;
-      product *= uniform_from(src);
-    }
-    return k;
-  }
-  return poisson_ptrs_from(src, mean);
 }
 
 detail::ZigguratTables build_ziggurat_tables() {
@@ -256,27 +165,6 @@ double RngStream::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }
 
-double RngStream::normal_fast() {
-  Mt19937Source source{engine_};
-  return detail::ziggurat_normal(source, detail::ziggurat_tables());
-}
-
-double RngStream::rayleigh_amplitude(double mean_square) {
-  return rayleigh_amplitude_from(Mt19937Source{engine_}, mean_square);
-}
-
-double RngStream::lognormal_db(double mean_db, double sigma_db) {
-  return std::pow(10.0, normal(mean_db, sigma_db) / 10.0);
-}
-
-int RngStream::poisson(double mean) {
-  return poisson_from(Mt19937Source{engine_}, mean);
-}
-
-int RngStream::poisson_ptrs(double mean) {
-  return poisson_ptrs_from(Mt19937Source{engine_}, mean);
-}
-
 // ---- CompactRngStream (splitmix64-counter-backed) ----
 
 double CompactRngStream::uniform() {
@@ -306,27 +194,6 @@ double CompactRngStream::normal() {
 
 double CompactRngStream::normal(double mean, double stddev) {
   return mean + stddev * normal();
-}
-
-double CompactRngStream::normal_fast() {
-  SplitMixCounterSource source{state_};
-  return detail::ziggurat_normal(source, detail::ziggurat_tables());
-}
-
-double CompactRngStream::rayleigh_amplitude(double mean_square) {
-  return rayleigh_amplitude_from(SplitMixCounterSource{state_}, mean_square);
-}
-
-double CompactRngStream::lognormal_db(double mean_db, double sigma_db) {
-  return std::pow(10.0, normal(mean_db, sigma_db) / 10.0);
-}
-
-int CompactRngStream::poisson(double mean) {
-  return poisson_from(SplitMixCounterSource{state_}, mean);
-}
-
-int CompactRngStream::poisson_ptrs(double mean) {
-  return poisson_ptrs_from(SplitMixCounterSource{state_}, mean);
 }
 
 }  // namespace charisma::common

@@ -8,12 +8,12 @@
 // fair cross-protocol comparison.
 //
 // The distribution layer is implemented in-house (Box–Muller normals with a
-// cached spare, Lemire bounded integers, Knuth/PTRS Poisson) instead of the
-// std:: distribution objects: the standard leaves their algorithms
-// unspecified, so stdlib upgrades would silently change every simulation
-// result, and the std implementations construct per-call state on the hot
-// path. Only std::mt19937_64 (whose output *is* pinned by the standard) is
-// kept as the raw bit source.
+// cached spare, Lemire bounded integers) instead of the std:: distribution
+// objects: the standard leaves their algorithms unspecified, so stdlib
+// upgrades would silently change every simulation result, and the std
+// implementations construct per-call state on the hot path. Only
+// std::mt19937_64 (whose output *is* pinned by the standard) is kept as the
+// raw bit source.
 #pragma once
 
 #include <cmath>
@@ -190,24 +190,6 @@ class RngStream {
   /// Normal with mean/stddev.
   double normal(double mean, double stddev);
 
-  /// Standard normal via the Marsaglia–Tsang ziggurat (128 layers): the
-  /// same distribution as normal() but a different realization at ~one
-  /// engine draw per variate (no transcendentals on the accept path).
-  /// The batched channel hot path draws its innovations here; normal()
-  /// keeps the Box–Muller sequence the regression tests pin.
-  double normal_fast();
-
-  /// Rayleigh *amplitude* with E[X^2] = mean_square.
-  double rayleigh_amplitude(double mean_square);
-
-  /// Log-normal where the underlying normal is specified in dB:
-  /// returns 10^(N(mean_db, sigma_db)/10).
-  double lognormal_db(double mean_db, double sigma_db);
-
-  /// Poisson with the given mean (>= 0). Knuth's product-of-uniforms for
-  /// small means, Hörmann's PTRS transformed rejection for large ones.
-  int poisson(double mean);
-
   /// Direct access for use with std:: distributions in tests and for
   /// seeding derived generators. External draws advance the engine without
   /// the distribution layer's knowledge, so any cached Box–Muller spare
@@ -219,8 +201,6 @@ class RngStream {
   }
 
  private:
-  int poisson_ptrs(double mean);
-
   std::mt19937_64 engine_;
   double spare_normal_ = 0.0;
   bool has_spare_normal_ = false;
@@ -265,26 +245,12 @@ class CompactRngStream {
   /// Normal with mean/stddev.
   double normal(double mean, double stddev);
 
-  /// Standard normal via the shared 128-layer ziggurat tables.
-  double normal_fast();
-
-  /// Rayleigh *amplitude* with E[X^2] = mean_square.
-  double rayleigh_amplitude(double mean_square);
-
-  /// Log-normal specified in dB: 10^(N(mean_db, sigma_db)/10).
-  double lognormal_db(double mean_db, double sigma_db);
-
-  /// Poisson with the given mean (>= 0). Knuth below 10, PTRS beyond.
-  int poisson(double mean);
-
   /// Raw counter state (cursor assertions in tests). Reading it does not
   /// perturb the stream, but mirrors engine(): setting it would desync a
   /// cached spare, so none is offered — reseed by constructing afresh.
   std::uint64_t raw_state() const { return state_; }
 
  private:
-  int poisson_ptrs(double mean);
-
   std::uint64_t state_;
   double spare_normal_ = 0.0;
   bool has_spare_normal_ = false;
@@ -351,20 +317,6 @@ class TrafficRng {
   double normal() { return mt_ ? mt_->normal() : compact_.normal(); }
   double normal(double mean, double stddev) {
     return mt_ ? mt_->normal(mean, stddev) : compact_.normal(mean, stddev);
-  }
-  double normal_fast() {
-    return mt_ ? mt_->normal_fast() : compact_.normal_fast();
-  }
-  double rayleigh_amplitude(double mean_square) {
-    return mt_ ? mt_->rayleigh_amplitude(mean_square)
-               : compact_.rayleigh_amplitude(mean_square);
-  }
-  double lognormal_db(double mean_db, double sigma_db) {
-    return mt_ ? mt_->lognormal_db(mean_db, sigma_db)
-               : compact_.lognormal_db(mean_db, sigma_db);
-  }
-  int poisson(double mean) {
-    return mt_ ? mt_->poisson(mean) : compact_.poisson(mean);
   }
 
  private:

@@ -142,14 +142,6 @@ class ProtocolEngine {
   /// counted one either).
   void attach_user_initial(common::UserId id);
 
-  /// Slot-indexed view of the band storage: the user occupying bank row
-  /// `slot`, or nullptr when the row is vacant (or past the storage). A
-  /// pure read of quiescent state — the sharded plane tasks walk disjoint
-  /// row ranges through here between the band-maintenance phases.
-  const MobileUser* user_at_slot(std::size_t slot) const {
-    return slot < users_.size() ? users_[slot].get() : nullptr;
-  }
-
   /// Band membership, ascending by user id. slot is the user's storage /
   /// ChannelBank row index.
   const std::vector<BandMember>& band() const { return band_; }

@@ -442,9 +442,10 @@ TEST(ChannelBank, InvalidConfigsThrow) {
 }
 
 TEST(ChannelBank, RangeWritesMatchAllWritesWithVacancies) {
-  // The shard-safe strip APIs: feeding a bank through uneven contiguous
-  // row ranges must land exactly where the _all batch write lands, with
-  // vacant (free-list) rows skipped by both paths.
+  // The _all plane writes on a bank with free-list rows: active rows read
+  // back exactly what was written, vacant rows keep what they held, and
+  // the resulting SINR matches a bank whose means were fed one scalar
+  // set_mean_snr_db call per active row.
   ChannelBank a, b;
   constexpr std::size_t kUsers = 8;
   for (std::uint64_t s = 1; s <= kUsers; ++s) {
@@ -467,21 +468,27 @@ TEST(ChannelBank, RangeWritesMatchAllWritesWithVacancies) {
   }
   a.set_mean_snr_db_all({mean.data(), mean.size()});
   a.set_interference_db_all({interf.data(), interf.size()});
-  // Three uneven strips covering [0, 8), vacant rows inside the strips.
-  b.set_mean_snr_db_range(0, {mean.data(), 3});
-  b.set_mean_snr_db_range(3, {mean.data() + 3, 2});
-  b.set_mean_snr_db_range(5, {mean.data() + 5, 3});
-  b.set_interference_db_range(0, {interf.data(), 4});
-  b.set_interference_db_range(4, {interf.data() + 4, 4});
   for (std::size_t u = 0; u < kUsers; ++u) {
-    if (u == 2 || u == 5) continue;  // vacant
+    if (!b.vacant(u)) b.set_mean_snr_db(u, mean[u]);
+  }
+  b.set_interference_db_all({interf.data(), interf.size()});
+  for (std::size_t u = 0; u < kUsers; ++u) {
+    if (a.vacant(u)) {
+      EXPECT_EQ(a.mean_snr_db(u), 16.0) << "slot " << u;
+      EXPECT_EQ(a.interference_db(u), 0.0) << "slot " << u;
+      continue;
+    }
+    EXPECT_EQ(a.mean_snr_db(u), mean[u]) << "slot " << u;
+    EXPECT_EQ(a.interference_db(u), interf[u]) << "slot " << u;
     EXPECT_EQ(a.snr_db(u), b.snr_db(u)) << "slot " << u;
-    EXPECT_EQ(a.mean_snr_db(u), b.mean_snr_db(u)) << "slot " << u;
-    EXPECT_EQ(a.interference_db(u), b.interference_db(u)) << "slot " << u;
   }
 }
 
 TEST(ChannelBank, SnrDbRangeMatchesSnrDbAllAndSkipsVacantRows) {
+  // The bulk pilot read on a bank with a free-list row: active entries
+  // agree with the scalar snr_db() to rounding, as in
+  // SnrDbAllMatchesScalarReads, and the caller's entry at the vacant slot
+  // is left untouched.
   ChannelBank bank;
   constexpr std::size_t kUsers = 6;
   for (std::uint64_t s = 1; s <= kUsers; ++s) {
@@ -493,38 +500,15 @@ TEST(ChannelBank, SnrDbRangeMatchesSnrDbAllAndSkipsVacantRows) {
   }
   std::vector<double> mean(kUsers, 14.0);
   bank.set_mean_snr_db_all({mean.data(), mean.size()});
-  std::vector<double> all(kUsers, -777.0), ranged(kUsers, -777.0);
+  std::vector<double> all(kUsers, -777.0);
   bank.snr_db_all({all.data(), all.size()});
-  bank.snr_db_range(0, {ranged.data(), 4});
-  bank.snr_db_range(4, {ranged.data() + 4, 2});
   for (std::size_t u = 0; u < kUsers; ++u) {
     if (u == 1) {
-      EXPECT_EQ(ranged[u], -777.0);  // vacant: the caller's entry survives
+      EXPECT_EQ(all[u], -777.0);  // vacant: the caller's entry survives
     } else {
-      EXPECT_EQ(ranged[u], all[u]) << "slot " << u;
+      EXPECT_NEAR(all[u], bank.snr_db(u), 1e-9) << "slot " << u;
     }
   }
-}
-
-TEST(ChannelBank, SnrDbRangeThrowsOnLazyBank) {
-  // Lazy materialization walks bank-wide bookkeeping — not safe from
-  // concurrent strip tasks, so the range read refuses outright.
-  ChannelBank bank;
-  bank.add_user(test_config(), common::RngStream(1));
-  bank.set_lazy(true);
-  std::vector<double> out(1, 0.0);
-  EXPECT_THROW(bank.snr_db_range(0, {out.data(), 1}), std::logic_error);
-}
-
-TEST(ChannelBank, RangeApisRejectOutOfRangeSpans) {
-  ChannelBank bank;
-  bank.add_user(test_config(), common::RngStream(1));
-  std::vector<double> v(2, 0.0);
-  EXPECT_THROW(bank.set_mean_snr_db_range(0, {v.data(), 2}),
-               std::out_of_range);
-  EXPECT_THROW(bank.set_interference_db_range(1, {v.data(), 1}),
-               std::out_of_range);
-  EXPECT_THROW(bank.snr_db_range(1, {v.data(), 1}), std::out_of_range);
 }
 
 }  // namespace

@@ -1,0 +1,38 @@
+#!/bin/sh
+# Feeds charisma_sim values it must refuse and requires, for each, a
+# non-zero exit and an error naming the offending knob on stderr.
+# Usage: cli_reject_smoke.sh path/to/charisma_sim
+set -u
+
+sim=${1:?usage: cli_reject_smoke.sh path/to/charisma_sim}
+# Small enough that a build which wrongly accepts a case still exits fast.
+small="voice_users=4 data_users=0 warmup=0 measure=0.05"
+failures=0
+
+# expect_reject KNOB ARGS...: the run must fail with "error: KNOB=" on stderr.
+expect_reject() {
+  knob=$1
+  shift
+  err=$("$sim" "$@" $small 2>&1 >/dev/null)
+  status=$?
+  if [ "$status" -eq 0 ]; then
+    echo "cli_reject_smoke: accepted: $*" >&2
+    failures=$((failures + 1))
+  elif ! printf '%s\n' "$err" | grep -qF "error: $knob="; then
+    echo "cli_reject_smoke: error does not name $knob=: $* -> $err" >&2
+    failures=$((failures + 1))
+  fi
+}
+
+expect_reject mobility cells=2 mobility=foo
+expect_reject sweep sweep=foo x=4
+expect_reject x sweep=voice x=4,8x
+expect_reject x sweep=voice x=4,abc
+expect_reject replications replications=0
+expect_reject cells cells=0
+
+if [ "$failures" -ne 0 ]; then
+  echo "cli_reject_smoke: $failures case(s) not rejected" >&2
+  exit 1
+fi
+echo "cli_reject_smoke: OK"
