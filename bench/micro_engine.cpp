@@ -61,6 +61,44 @@ void BM_RngUniformInt(benchmark::State& state) {
 }
 BENCHMARK(BM_RngUniformInt);
 
+void BM_SplitMixZigguratPair(benchmark::State& state) {
+  // The bank's per-branch I/Q innovation draw: two ziggurat normals from
+  // one 8-byte counter, both candidates mixed before either resolves.
+  common::SplitMix64 rng(1);
+  const auto& zig = common::detail::ziggurat_tables();
+  for (auto _ : state) {
+    double a, b;
+    rng.normal_pair(zig, a, b);
+    benchmark::DoNotOptimize(a);
+    benchmark::DoNotOptimize(b);
+  }
+  state.SetItemsProcessed(state.iterations() * 2);
+}
+BENCHMARK(BM_SplitMixZigguratPair);
+
+void BM_VoiceSourceIdleTick(benchmark::State& state) {
+  // The engine's per-frame traffic tick over a voice population: a
+  // talking source emits every 8th 2.5 ms frame and a silent one toggles
+  // about every 1.35 s, so most calls find nothing due. Items are
+  // source-frames.
+  const int n = static_cast<int>(state.range(0));
+  std::vector<traffic::VoiceSource> sources;
+  sources.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    sources.emplace_back(traffic::VoiceSourceConfig{},
+                         common::RngStream(static_cast<std::uint64_t>(i) + 1));
+  }
+  double t = 0.0;
+  for (auto _ : state) {
+    int generated = 0;
+    for (auto& src : sources) generated += src.on_frame(t).packets_generated;
+    benchmark::DoNotOptimize(generated);
+    t += 2.5e-3;
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_VoiceSourceIdleTick)->Arg(300);
+
 channel::ChannelBank make_bank(int n) {
   channel::ChannelBank bank;
   bank.reserve(static_cast<std::size_t>(n));

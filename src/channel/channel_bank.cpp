@@ -4,6 +4,7 @@
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "channel/fading.hpp"
 #include "common/math.hpp"
@@ -351,7 +352,8 @@ void ChannelBank::materialize_user(std::size_t user) {
 }
 
 template <typename Index>
-void ChannelBank::materialize_batch(const Index* ids, std::size_t n) {
+void ChannelBank::materialize_batch(const Index* ids, std::size_t n,
+                                    const char* caller) {
   // The memoized jump loop (bit-identical to the historical advance_all_to
   // body when ids is the full population). In the common case every user
   // shares one sample interval and one parameter group, so the coefficient
@@ -364,8 +366,7 @@ void ChannelBank::materialize_batch(const Index* ids, std::size_t n) {
     const auto user = static_cast<std::size_t>(ids[i]);
     const std::int64_t target = dt_targets_[dt_index_[user]];
     if (target < step_[user]) {
-      throw std::logic_error(
-          "ChannelBank::advance_all_to: time went backwards");
+      throw std::logic_error(std::string(caller) + ": time went backwards");
     }
     const std::int64_t k = target - step_[user];
     if (k == 0) continue;
@@ -381,32 +382,46 @@ void ChannelBank::materialize_batch(const Index* ids, std::size_t n) {
   }
 }
 
-void ChannelBank::materialize_all() {
+void ChannelBank::materialize_active(const char* caller) {
   // "All" means all *active* rows: vacant rows must never advance (their
   // next acquire re-seeds them) nor count toward the jump accounting. With
   // no vacancies the batch is the historical full iota, bit for bit.
   refresh_active();
-  materialize_batch(scratch_ids_.data(), scratch_ids_.size());
+  materialize_batch(scratch_ids_.data(), scratch_ids_.size(), caller);
+}
+
+void ChannelBank::materialize_slots(std::span<const common::UserId> slots,
+                                    const char* caller) {
+  for (const common::UserId slot : slots) {
+    if (slot < 0 || static_cast<std::size_t>(slot) >= configs_.size()) {
+      throw std::out_of_range(std::string(caller) + ": bad slot " +
+                              std::to_string(slot));
+    }
+    if (vacant_[static_cast<std::size_t>(slot)]) {
+      throw std::logic_error(std::string(caller) + ": slot " +
+                             std::to_string(slot) + " is vacant");
+    }
+  }
+  materialize_batch(slots.data(), slots.size(), caller);
+}
+
+void ChannelBank::materialize_all() {
+  materialize_active("ChannelBank::materialize_all");
 }
 
 void ChannelBank::materialize_users(std::span<const common::UserId> slots) {
-  for (const common::UserId slot : slots) {
-    if (slot < 0 || static_cast<std::size_t>(slot) >= configs_.size()) {
-      throw std::out_of_range("ChannelBank::materialize_users: bad slot");
-    }
-  }
-  materialize_batch(slots.data(), slots.size());
+  materialize_slots(slots, "ChannelBank::materialize_users");
 }
 
 void ChannelBank::advance_users_to(std::span<const common::UserId> slots,
                                    common::Time t) {
   set_time(t);
-  materialize_users(slots);
+  materialize_slots(slots, "ChannelBank::advance_users_to");
 }
 
 void ChannelBank::advance_all_to(common::Time t) {
   set_time(t);
-  materialize_all();
+  materialize_active("ChannelBank::advance_all_to");
 }
 
 void ChannelBank::set_mean_snr_db(std::size_t user, double db) {

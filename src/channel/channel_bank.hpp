@@ -128,7 +128,9 @@ class ChannelBank {
   /// (the frame's declared touch set: transmitters, contenders, polled
   /// rows). Entries are slots, not user ids — they coincide only in a
   /// full, never-released population, so a sparse engine maps ids through
-  /// its band first. Slots out of [0, size()) throw; duplicates are fine
+  /// its band first. Slots out of [0, size()) throw std::out_of_range and
+  /// vacant slots (released rows: a stale id/slot mapping) throw
+  /// std::logic_error, both before any row advances; duplicates are fine
   /// (a second materialization at the same clock is a no-op).
   void materialize_users(std::span<const common::UserId> slots);
 
@@ -286,8 +288,14 @@ class ChannelBank {
 
   /// Jumps each of `ids` (bank slots) to the bank clock, reusing the
   /// previous iteration's coefficients while (group, stride) repeats.
+  /// `caller` names the public entry point in error messages.
   template <typename Index>
-  void materialize_batch(const Index* ids, std::size_t n);
+  void materialize_batch(const Index* ids, std::size_t n, const char* caller);
+  /// The bodies of materialize_all/advance_all_to (every active row) and
+  /// materialize_users/advance_users_to (a validated touch set).
+  void materialize_active(const char* caller);
+  void materialize_slots(std::span<const common::UserId> slots,
+                         const char* caller);
 
   double shadow_linear(std::size_t user) const {
     double linear = shadow_linear_[user];

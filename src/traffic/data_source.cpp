@@ -6,10 +6,6 @@
 
 namespace charisma::traffic {
 
-namespace {
-constexpr double kTimeEps = 1e-9;
-}
-
 DataSource::DataSource(const DataSourceConfig& config, common::TrafficRng rng)
     : config_(config), rng_(std::move(rng)) {
   if (config.mean_interarrival_s <= 0.0 || config.mean_burst_packets < 1.0) {
@@ -41,7 +37,7 @@ double DataSource::next_gap(common::Time ref) {
   return rng_.exponential(mmpp_high_ ? base / config_.mmpp_rate_ratio : base);
 }
 
-DataSource::FrameUpdate DataSource::on_frame(common::Time now) {
+DataSource::FrameUpdate DataSource::admit_bursts(common::Time now) {
   FrameUpdate update;
   while (next_burst_at_ <= now + kTimeEps) {
     const auto burst = std::max<int>(

@@ -48,8 +48,16 @@ class DataSource {
 
   /// Advances to the frame boundary at `now`; bursts whose arrival time has
   /// passed join the backlog at this boundary (paper: packets arrive at
-  /// frame boundaries).
-  FrameUpdate on_frame(common::Time now);
+  /// frame boundaries). Bursts arrive about once a second, so the
+  /// nothing-due check is inline and only an arrival leaves it.
+  FrameUpdate on_frame(common::Time now) {
+    if (next_burst_at_ > now + kTimeEps) return {};
+    return admit_bursts(now);
+  }
+
+  /// Arrival time of the next burst; on_frame admits it at the first
+  /// boundary at or after this time (within 1 ns).
+  common::Time next_burst_at() const { return next_burst_at_; }
 
   int backlog() const { return static_cast<int>(queue_.size()); }
   bool empty() const { return queue_.empty(); }
@@ -80,6 +88,11 @@ class DataSource {
   bool mmpp_high() const { return mmpp_high_; }
 
  private:
+  static constexpr double kTimeEps = 1e-9;
+
+  /// The arrival loop behind on_frame.
+  FrameUpdate admit_bursts(common::Time now);
+
   /// Draws the gap to the burst after `ref`, first advancing the MMPP
   /// modulating chain to `ref` so the gap uses the state in force there.
   double next_gap(common::Time ref);

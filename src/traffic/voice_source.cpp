@@ -1,15 +1,9 @@
 #include "traffic/voice_source.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 namespace charisma::traffic {
-
-namespace {
-constexpr double kTimeEps = 1e-9;
-constexpr double kInf = std::numeric_limits<double>::infinity();
-}  // namespace
 
 VoiceSource::VoiceSource(const VoiceSourceConfig& config,
                          common::TrafficRng rng)
@@ -44,7 +38,7 @@ void VoiceSource::set_rate_scale(double scale) {
   rate_scale_ = scale;
 }
 
-VoiceSource::FrameUpdate VoiceSource::on_frame(common::Time now) {
+VoiceSource::FrameUpdate VoiceSource::replay_to(common::Time now) {
   FrameUpdate update;
   ensure_initialized(now);
 
@@ -52,12 +46,10 @@ VoiceSource::FrameUpdate VoiceSource::on_frame(common::Time now) {
   // processing order is expiry -> state toggle -> packet emission, so a
   // packet whose deadline coincides with the next emission (deadline ==
   // period) is dropped before its successor appears.
-  for (;;) {
+  while (next_event_at() <= now + kTimeEps) {
     const common::Time expiry_t = pending_ ? pending_->deadline : kInf;
     const common::Time toggle_t = state_until_;
     const common::Time packet_t = talkspurt_ ? next_packet_at_ : kInf;
-    const common::Time next = std::min({expiry_t, toggle_t, packet_t});
-    if (next > now + kTimeEps) break;
 
     if (expiry_t <= std::min(toggle_t, packet_t)) {
       pending_.reset();

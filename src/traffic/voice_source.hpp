@@ -13,7 +13,9 @@
 // starts and see exactly the same underlying process.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <optional>
 
 #include "common/rng.hpp"
@@ -53,8 +55,22 @@ class VoiceSource {
     int packets_expired = 0;
   };
 
-  /// Advances the source to `now` (non-decreasing across calls).
-  FrameUpdate on_frame(common::Time now);
+  /// Advances the source to `now` (non-decreasing across calls). Most
+  /// frames have nothing due — a talking source emits every 8th 2.5 ms
+  /// frame, a silent one toggles about every 1.35 s — so that check is
+  /// inline and only a due event pays for the out-of-line replay.
+  FrameUpdate on_frame(common::Time now) {
+    if (initialized_ && next_event_at() > now + kTimeEps) return {};
+    return replay_to(now);
+  }
+
+  /// Earliest pending event — deadline expiry, state toggle or packet
+  /// emission — once the first on_frame has started the process; on_frame
+  /// replays exactly the events at or before `now` (within 1 ns).
+  common::Time next_event_at() const {
+    return std::min({pending_ ? pending_->deadline : kInf, state_until_,
+                     talkspurt_ ? next_packet_at_ : kInf});
+  }
 
   bool in_talkspurt() const { return talkspurt_; }
   bool has_packet() const { return pending_.has_value(); }
@@ -79,7 +95,12 @@ class VoiceSource {
   double rate_scale() const { return rate_scale_; }
 
  private:
+  static constexpr double kTimeEps = 1e-9;
+  static constexpr double kInf = std::numeric_limits<double>::infinity();
+
   void ensure_initialized(common::Time now);
+  /// The chronological replay behind on_frame.
+  FrameUpdate replay_to(common::Time now);
 
   VoiceSourceConfig config_;
   common::TrafficRng rng_;

@@ -3,7 +3,10 @@
 #include <cmath>
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "channel/fading.hpp"
@@ -507,6 +510,87 @@ TEST(ChannelBank, SnrDbRangeMatchesSnrDbAllAndSkipsVacantRows) {
       EXPECT_EQ(all[u], -777.0);  // vacant: the caller's entry survives
     } else {
       EXPECT_NEAR(all[u], bank.snr_db(u), 1e-9) << "slot " << u;
+    }
+  }
+}
+
+// Seed-pinned eager advance: the per-frame innovation path of the Fig. 11
+// sweeps (one normal_pair per branch, one shadowing normal per frame),
+// pinned directly rather than only through the world goldens. Regenerate
+// only for a deliberate change of results, and say so in the commit.
+TEST(ChannelBankPinned, EagerAdvanceSequence) {
+  struct Pin {
+    std::uint64_t cursor;
+    std::vector<std::pair<double, double>> fade;  // (re, im) per branch
+    double shadow_db;
+    double fading_power;
+  };
+  struct Checkpoint {
+    int frame;
+    Pin user[2];
+  };
+  const Checkpoint expected[] = {
+      {1,
+       {{5919347625494346420ULL,
+         {{0x1.2ba26d2dd6403p-3, 0x1.5fba67c6b4736p-3}},
+         -0x1.4243447d1f05dp+0,
+         0x1.a0fac132a458ap-5},
+        {18103635786516246100ULL,
+         {{0x1.c4638830e232p-2, 0x1.4ea4123c4af5bp-1},
+          {0x1.fd6ec6d4a5623p-2, -0x1.b86bf304c0d23p-1},
+          {-0x1.99ebb41ff9ceap-1, 0x1.a3e9f898d86dep-4},
+          {-0x1.6a187e1bde84ap-1, -0x1.dbcc45dfe43fep-2}},
+         0x1.015d8acbd2dbbp-1,
+         0x1.7d1a6dc7572a9p-1}}},
+      {8,
+       {{5526685873057343597ULL,
+         {{0x1.413cca24c18f7p+0, -0x1.3e7794884177ap-3}},
+         -0x1.55a70d49185b8p-2,
+         0x1.994a369306008p+0},
+        {9879621274818884500ULL,
+         {{0x1.1e49c86ebe4cep-1, 0x1.0822238bf258p-5},
+          {-0x1.7833144fa71afp-2, -0x1.fed77086addf6p-2},
+          {-0x1.39ad692cef808p-2, -0x1.2f1deb47c2764p-1},
+          {-0x1.693cb9d09b578p-5, -0x1.814a13a96835ep-3}},
+         0x1.d2a8692180994p-2,
+         0x1.2de02d288abb3p-2}}},
+      {400,
+       {{171046491458561279ULL,
+         {{-0x1.a8e0dcf02a4a4p-1, -0x1.3db50030bb1p-9}},
+         0x1.25b30faff7a16p-2,
+         0x1.609595d458bfdp-1},
+        {15978792707143767139ULL,
+         {{-0x1.ea00ba3952192p-2, -0x1.0ffdece3631e4p-1},
+          {0x1.c3a2e5053492ap-1, -0x1.286914c326d06p-1},
+          {-0x1.506350933e12ep-2, 0x1.4bb47d22fde7p-2},
+          {0x1.3c1dcc334ead3p-1, 0x1.36ae952f85d1cp-4}},
+         -0x1.05d9dc6a9a422p+0,
+         0x1.1cb43aa9b0442p-1}}},
+  };
+  ChannelBank bank;
+  auto one = test_config();
+  one.diversity_branches = 1;
+  bank.add_user(one, common::RngStream(2024));
+  bank.add_user(test_config(), common::RngStream(2025));  // 4 branches
+  int frame = 0;
+  for (const auto& cp : expected) {
+    while (frame < cp.frame) {
+      ++frame;
+      bank.advance_all_to(static_cast<double>(frame) * 2.5e-3);
+    }
+    for (std::size_t u = 0; u < 2; ++u) {
+      SCOPED_TRACE("frame " + std::to_string(cp.frame) + " user " +
+                   std::to_string(u));
+      const Pin& pin = cp.user[u];
+      ASSERT_EQ(static_cast<std::size_t>(bank.config(u).diversity_branches),
+                pin.fade.size());
+      EXPECT_EQ(bank.rng_cursor(u), pin.cursor);
+      for (std::size_t b = 0; b < pin.fade.size(); ++b) {
+        EXPECT_EQ(bank.fade_re(u, static_cast<int>(b)), pin.fade[b].first);
+        EXPECT_EQ(bank.fade_im(u, static_cast<int>(b)), pin.fade[b].second);
+      }
+      EXPECT_EQ(bank.shadow_db(u), pin.shadow_db);
+      EXPECT_EQ(bank.fading_power(u), pin.fading_power);
     }
   }
 }

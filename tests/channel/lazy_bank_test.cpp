@@ -11,7 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -206,6 +209,63 @@ TEST(LazyBank, GuardsAndErrors) {
   auto eager = make_bank(2, 900);
   eager.advance_user_to(0, 10 * kDt);
   EXPECT_THROW(eager.advance_all_to(5 * kDt), std::logic_error);
+}
+
+TEST(LazyBank, MaterializeVacantSlotThrows) {
+  // A released row is off the books: a touch set naming it (a stale
+  // id/slot mapping) must throw before anything advances, not silently
+  // jump the vacant row and count it in lazy_stats().
+  auto bank = make_bank(4, 1000);
+  bank.set_lazy(true);
+  bank.release_user(2);
+  bank.set_time(6 * kDt);
+  const auto before = bank.lazy_stats();
+  const std::int64_t step_before = bank.current_step(0);
+  const common::UserId stale[] = {0, 2};
+  try {
+    bank.materialize_users(stale);
+    FAIL() << "materializing a vacant slot must throw";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("slot 2"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(bank.advance_users_to(stale, 7 * kDt), std::logic_error);
+  const auto after = bank.lazy_stats();
+  EXPECT_EQ(after.jump_events, before.jump_events);
+  EXPECT_EQ(after.jump_frames, before.jump_frames);
+  EXPECT_EQ(bank.current_step(0), step_before);  // validated before advancing
+
+  // Live slots still materialize, and the vacant row stays out of the
+  // accounting.
+  const common::UserId live[] = {0, 1, 3};
+  bank.materialize_users(live);
+  EXPECT_EQ(bank.lazy_stats().jump_events, before.jump_events + 3);
+}
+
+TEST(LazyBank, BackwardsTimeNamesTheEntryPoint) {
+  // The backwards-time guard is shared by the bulk and the touch-set paths;
+  // its message names the call that was actually made.
+  auto bank = make_bank(2, 1100);
+  bank.advance_user_to(0, 10 * kDt);  // eager: row 0 runs ahead of the clock
+  bank.set_time(5 * kDt);
+  const common::UserId zero[] = {0};
+  for (const auto& [name, call] :
+       std::vector<std::pair<std::string, std::function<void()>>>{
+           {"ChannelBank::materialize_users",
+            [&] { bank.materialize_users(zero); }},
+           {"ChannelBank::advance_users_to",
+            [&] { bank.advance_users_to(zero, 5 * kDt); }},
+           {"ChannelBank::materialize_all", [&] { bank.materialize_all(); }},
+           {"ChannelBank::advance_all_to",
+            [&] { bank.advance_all_to(5 * kDt); }},
+       }) {
+    try {
+      call();
+      ADD_FAILURE() << name << " did not throw";
+    } catch (const std::logic_error& e) {
+      EXPECT_EQ(std::string(e.what()), name + ": time went backwards");
+    }
+  }
 }
 
 }  // namespace

@@ -313,6 +313,53 @@ TEST(CompactRngStreamPinned, ExponentialSequence) {
   for (double e : expected) EXPECT_NEAR(rng.exponential(2.0), e, 1e-12);
 }
 
+// Seed-pinned ziggurat sequences: the ChannelBank innovations, which the
+// world goldens otherwise pin only indirectly. The seeds are chosen so the
+// window walks every branch of the sampler — negative draws (the sign
+// bit), a wedge accept, a wedge rejection that draws a fresh candidate,
+// and a tail draw (|x| > r = 3.4426) — and the final counter pins how many
+// engine draws each branch consumed. Compared exactly: the fast path is
+// integer-to-double times a table entry, and only the accept *decision*
+// of the wedge and the tail value go through libm (exp/log).
+
+TEST(SplitMix64Pinned, ZigguratNormalSequence) {
+  const auto& zig = detail::ziggurat_tables();
+  SplitMix64 rng(1363);
+  const double expected[] = {
+      0x1.0bdec05b9ea8cp+0,  0x1.ca75785db2581p+0,  -0x1.52d6ecc00e367p+0,
+      0x1.57e6678b1cd07p+0,  0x1.4df349c8af6a2p+0,  -0x1.1cf4fa132587ep+1,
+      0x1.5835549ae3cfap-2,   // wedge accept
+      0x1.c76420f6b1d5ap+1,   // tail
+      -0x1.1003b28866228p-1,  // after a wedge rejection
+      0x1.a1a93e526fb3ep+0,  -0x1.e3aba4d3d28fp+0,  -0x1.3a783e74fca8dp-2,
+  };
+  for (double e : expected) EXPECT_EQ(rng.normal(zig), e);
+  EXPECT_EQ(rng.raw_state(), 13699396756335704802ULL);
+}
+
+TEST(SplitMix64Pinned, NormalPairSequence) {
+  // normal_pair mixes both candidates before either is resolved, so a
+  // slow-path `a` draws its extra uniforms *after* b's candidate — an
+  // order this pins along with the values.
+  const auto& zig = detail::ziggurat_tables();
+  SplitMix64 rng(20657);
+  const double expected[][2] = {
+      {-0x1.289ae5abb4ec2p-6, -0x1.93ad9bc433cc4p+1},  // wedge accept
+      {-0x1.65a93ef40826bp-5, -0x1.06bf32a9c3fe2p+1},
+      {-0x1.6fb95eace26f8p-2, 0x1.642a9ed1ee634p+0},
+      {-0x1.e4d430ceb0b1p-7, -0x1.fb338b3f55809p+0},  // wedge rejection
+      {0x1.d97437a7b8aa4p+1, 0x1.264b5ecb763c2p-4},   // tail in a
+      {-0x1.fe6e76cc843e7p-1, 0x1.946de9c642c87p-1},
+  };
+  for (const auto& e : expected) {
+    double a = 0.0, b = 0.0;
+    rng.normal_pair(zig, a, b);
+    EXPECT_EQ(a, e[0]);
+    EXPECT_EQ(b, e[1]);
+  }
+  EXPECT_EQ(rng.raw_state(), 2298681937012525611ULL);
+}
+
 // ---- Distribution equivalence: CompactRngStream vs RngStream ----
 // Both generators run the *same* distribution algorithms (rng.cpp
 // instantiates one template layer for both); only the raw bit source

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 
@@ -154,6 +158,89 @@ TEST(DataSource, BurstsAreAtLeastOnePacket) {
     packets += u.packets_arrived;
   }
   EXPECT_GE(packets, bursts);
+}
+
+TEST(DataSource, FrameByFrameMatchesEventTimeCalls) {
+  // The data twin of VoiceSource.FrameByFrameMatchesEventTimeCalls: a
+  // source ticked every frame must match a same-seed twin ticked only at
+  // coarse, random or event-time strides — Poisson and MMPP arrivals, with
+  // a pop_head() applied to both between ticks. Arrivals are stamped with
+  // the boundary that admits them, so the queue contents themselves match
+  // only when the twin is ticked at every arrival's first boundary (the
+  // event-time policy); the coarse policies compare the counts.
+  constexpr long kFrames = 40000;  // 100 s
+  const auto at = [](long n) { return static_cast<double>(n) * kFrame; };
+  auto mmpp = test_config();
+  mmpp.mmpp_rate_ratio = 4.0;
+  mmpp.mmpp_mean_sojourn_s = 2.0;
+  struct Policy {
+    std::string name;
+    bool event_times;
+    std::function<bool(long, const DataSource&)> tick;
+  };
+  common::RngStream stride_rng(99);
+  long next_random = 0;
+  const Policy policies[] = {
+      {"every 7 frames", false,
+       [](long n, const DataSource&) { return n % 7 == 0; }},
+      {"every 400 frames", false,
+       [](long n, const DataSource&) { return n % 400 == 0; }},
+      {"random 1..600 frames", false,
+       [&](long n, const DataSource&) {
+         if (n < next_random) return false;
+         next_random = n + 1 + stride_rng.uniform_int(600);
+         return true;
+       }},
+      {"event times", true,
+       [&](long n, const DataSource& src) {
+         return src.next_burst_at() <= at(n) + 1e-9;
+       }},
+  };
+  for (const auto& cfg : {test_config(), mmpp}) {
+    for (const auto& policy : policies) {
+      SCOPED_TRACE(policy.name + (cfg.mmpp_enabled() ? " (MMPP)" : ""));
+      next_random = 0;
+      DataSource fine(cfg, common::RngStream(31));
+      DataSource coarse(cfg, common::RngStream(31));
+      std::int64_t arrived_fine = 0, arrived_coarse = 0;
+      long ticks = 0, popped = 0;
+      for (long n = 0; n <= kFrames; ++n) {
+        const double t = at(n);
+        arrived_fine += fine.on_frame(t).packets_arrived;
+        if (!policy.tick(n, coarse)) continue;
+        ++ticks;
+        arrived_coarse += coarse.on_frame(t).packets_arrived;
+        ASSERT_EQ(arrived_fine, arrived_coarse) << "t = " << t;
+        ASSERT_EQ(fine.packets_generated(), coarse.packets_generated());
+        ASSERT_EQ(fine.next_burst_at(), coarse.next_burst_at());
+        ASSERT_EQ(fine.mmpp_high(), coarse.mmpp_high());
+        ASSERT_EQ(fine.backlog(), coarse.backlog()) << "t = " << t;
+        if (policy.event_times && !fine.empty()) {
+          ASSERT_EQ(fine.head_arrival(), coarse.head_arrival());
+        }
+        // Drain a few packets between ticks, as a granted transmission
+        // would.
+        for (int k = 0; k < 3 && !fine.empty(); ++k) {
+          fine.pop_head();
+          coarse.pop_head();
+          ++popped;
+        }
+      }
+      if (policy.event_times) {
+        std::vector<common::Time> rest_fine, rest_coarse;
+        for (; !fine.empty(); fine.pop_head()) {
+          rest_fine.push_back(fine.head_arrival());
+        }
+        for (; !coarse.empty(); coarse.pop_head()) {
+          rest_coarse.push_back(coarse.head_arrival());
+        }
+        EXPECT_EQ(rest_fine, rest_coarse);
+      }
+      EXPECT_GT(ticks, 0);
+      EXPECT_GT(popped, 0);
+      EXPECT_GT(arrived_fine, 1000);  // ~100 bursts x ~100 packets
+    }
+  }
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <string>
 
 #include "common/rng.hpp"
 
@@ -219,6 +222,79 @@ TEST(VoiceSource, LongGapBetweenCallsReplaysEverything) {
   // Same RNG stream, same state machine: identical totals.
   EXPECT_EQ(gen_a, gen_b);
   EXPECT_EQ(exp_a, exp_b);
+}
+
+TEST(VoiceSource, FrameByFrameMatchesEventTimeCalls) {
+  // on_frame's inline nothing-due exit must agree with the replay loop's
+  // own break condition: a source ticked every 2.5 ms frame (almost every
+  // call takes the exit) must match a same-seed twin that is ticked only
+  // at coarse, random or event-time strides — at every instant the twin is
+  // ticked, including after a consume_packet() both apply there.
+  constexpr long kFrames = 40000;  // 100 s
+  const auto at = [](long n) { return static_cast<double>(n) * kFrame; };
+  struct Policy {
+    std::string name;
+    std::function<bool(long, const VoiceSource&)> tick;
+  };
+  common::RngStream stride_rng(99);
+  long next_random = 0;
+  const Policy policies[] = {
+      {"every 7 frames", [](long n, const VoiceSource&) { return n % 7 == 0; }},
+      {"every 40 frames",
+       [](long n, const VoiceSource&) { return n % 40 == 0; }},
+      {"random 1..60 frames",
+       [&](long n, const VoiceSource&) {
+         if (n < next_random) return false;
+         next_random = n + 1 + stride_rng.uniform_int(60);
+         return true;
+       }},
+      {"event times",
+       [&](long n, const VoiceSource& src) {
+         return n == 0 || src.next_event_at() <= at(n) + 1e-9;
+       }},
+  };
+  for (const auto& policy : policies) {
+    SCOPED_TRACE(policy.name);
+    next_random = 0;
+    VoiceSource fine(test_config(), common::RngStream(21));
+    VoiceSource coarse(test_config(), common::RngStream(21));
+    common::RngStream consume_rng(5);
+    std::int64_t gen_fine = 0, exp_fine = 0, gen_coarse = 0, exp_coarse = 0;
+    long ticks = 0, consumed = 0;
+    for (long n = 0; n <= kFrames; ++n) {
+      const double t = at(n);
+      const auto uf = fine.on_frame(t);
+      gen_fine += uf.packets_generated;
+      exp_fine += uf.packets_expired;
+      if (!policy.tick(n, coarse)) continue;
+      ++ticks;
+      const auto uc = coarse.on_frame(t);
+      gen_coarse += uc.packets_generated;
+      exp_coarse += uc.packets_expired;
+      ASSERT_EQ(gen_fine, gen_coarse) << "t = " << t;
+      ASSERT_EQ(exp_fine, exp_coarse) << "t = " << t;
+      ASSERT_EQ(fine.packets_generated(), coarse.packets_generated());
+      ASSERT_EQ(fine.in_talkspurt(), coarse.in_talkspurt()) << "t = " << t;
+      ASSERT_EQ(fine.next_packet_at(), coarse.next_packet_at());
+      ASSERT_EQ(fine.next_event_at(), coarse.next_event_at());
+      ASSERT_EQ(fine.has_packet(), coarse.has_packet()) << "t = " << t;
+      if (fine.has_packet()) {
+        ASSERT_EQ(fine.packet().generated_at, coarse.packet().generated_at);
+        ASSERT_EQ(fine.packet().deadline, coarse.packet().deadline);
+        // Transmit about half of the packets seen here: the rest expire,
+        // so both the consume and the expiry exits are exercised.
+        if (consume_rng.bernoulli(0.5)) {
+          fine.consume_packet();
+          coarse.consume_packet();
+          ++consumed;
+        }
+      }
+    }
+    EXPECT_GT(ticks, 0);
+    EXPECT_GT(consumed, 0);
+    EXPECT_GT(exp_fine, 0);
+    EXPECT_GT(gen_fine, 1000);  // ~43% activity x 100 s x 50 packets/s
+  }
 }
 
 }  // namespace
