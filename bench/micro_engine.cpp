@@ -109,19 +109,6 @@ channel::ChannelBank make_bank(int n) {
   return bank;
 }
 
-void BM_PerUserAdvanceBaseline(benchmark::State& state) {
-  // The pre-ChannelBank hot path (heap-scattered per-user walks, fresh
-  // std::normal_distribution per draw) — see bench::LegacyChannelWalk.
-  const int n = static_cast<int>(state.range(0));
-  bench::LegacyChannelWalk walk(n);
-  for (auto _ : state) {
-    walk.step_all();
-    benchmark::DoNotOptimize(walk.power_gain(0));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_PerUserAdvanceBaseline)->Arg(1000)->Arg(10000)->Arg(100000);
-
 void BM_ChannelBankAdvance(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   auto bank = make_bank(n);

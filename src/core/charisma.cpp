@@ -3,13 +3,11 @@
 #include <cassert>
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <vector>
 
 namespace charisma::core {
 
 namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kTimeEps = 1e-9;
 }  // namespace
 
@@ -24,9 +22,9 @@ CharismaProtocol::CharismaProtocol(const mac::ScenarioParams& params,
 common::Time CharismaProtocol::process_frame() {
   // Uplink frame (Fig. 4a): request subframe -> information subframe ->
   // pilot subframe; the matching downlink carries ACKs, the CSI poll, and
-  // the allocation announcement. Per-frame phases in order:
+  // the allocation announcement. Per-frame phases in order (the engine
+  // has already purged queued voice requests past their deadline):
   release_finished_talkspurts();
-  pool_.purge_expired_voice(now());
   generate_voice_auto_requests();
   run_contention_phase();
   refresh_backlog_csi();
@@ -37,9 +35,9 @@ common::Time CharismaProtocol::process_frame() {
     // data device (or a voice device whose first packet missed out) must
     // contend again; auto-generated reservation requests recur at the next
     // voice period.
-    pool_.clear();
+    requests_.clear();
   } else {
-    pool_.age_all();
+    requests_.age_all();
   }
   return geom_.frame_duration;
 }
@@ -48,7 +46,7 @@ void CharismaProtocol::release_finished_talkspurts() {
   for (auto it = reservations_.begin(); it != reservations_.end();) {
     auto& u = user(it->first);
     if (!u.voice().in_talkspurt() && !u.voice().has_packet()) {
-      pool_.remove(it->first);
+      requests_.remove(it->first);
       it = reservations_.erase(it);
     } else {
       ++it;
@@ -65,37 +63,31 @@ void CharismaProtocol::generate_voice_auto_requests() {
     if (now() + kTimeEps < reservation.next_request_at) continue;
     auto& u = user(uid);
     if (!u.voice().has_packet()) continue;  // packet already expired
-    if (pool_.contains(uid)) continue;      // previous request still queued
-    mac::PendingRequest request;
-    request.user = uid;
-    request.type = mac::RequestType::kVoice;
-    request.packets_requested = 1;
-    request.acked_at = now();
-    request.deadline = u.voice().packet().deadline;
+    if (requests_.contains(uid)) continue;  // previous request still queued
+    mac::PendingRequest request = request_for(u);
     // The auto request carries no fresh pilots; it inherits the base
     // station's cached estimate and is a natural candidate for the §4.4
     // CSI poll.
     auto cached = csi_cache_.find(uid);
     request.csi = cached != csi_cache_.end() ? cached->second
                                              : channel::CsiEstimate{};
-    pool_.push(request);
+    requests_.push(request);
     reservation.next_request_at = u.voice().next_packet_at();
     reservation.requested_packet_at = u.voice().packet().generated_at;
   }
 }
 
 void CharismaProtocol::on_user_detached(common::UserId id) {
-  // The departing user's request, reservation and CSI history belong to
-  // this base station; the target cell learns the channel afresh.
-  pool_.remove(id);
+  // The departing user's reservation and CSI history belong to this base
+  // station (the engine drops its queued request); the target cell learns
+  // the channel afresh.
   reservations_.erase(id);
   csi_cache_.erase(id);
 }
 
 void CharismaProtocol::on_user_attached([[maybe_unused]] common::UserId id) {
-  // A (re-)attaching user must arrive clean: any request, reservation or
-  // CSI history from an earlier stay was dropped on detach/band-release.
-  assert(!pool_.contains(id));
+  // A (re-)attaching user must arrive clean: any reservation or CSI
+  // history from an earlier stay was dropped on detach/band-release.
   assert(reservations_.find(id) == reservations_.end());
   assert(csi_cache_.find(id) == csi_cache_.end());
 }
@@ -104,7 +96,7 @@ void CharismaProtocol::run_contention_phase() {
   std::vector<common::UserId> candidates;
   for (auto& u : users()) {
     if (!u.present()) continue;
-    if (pool_.contains(u.id())) continue;
+    if (requests_.contains(u.id())) continue;
     if (u.is_voice()) {
       if (!u.voice().has_packet()) continue;
       const auto reservation = reservations_.find(u.id());
@@ -136,25 +128,16 @@ void CharismaProtocol::run_contention_phase() {
     const auto estimate = estimate_csi(u);
     csi_cache_[uid] = estimate;
 
-    mac::PendingRequest request;
-    request.user = uid;
-    request.acked_at = now();
+    mac::PendingRequest request = request_for(u);
     request.csi = estimate;
     if (u.is_voice()) {
-      request.type = mac::RequestType::kVoice;
-      request.packets_requested = 1;
-      request.deadline = u.voice().packet().deadline;
       // The successful request establishes (or refreshes) the talkspurt's
       // reservation: follow-up requests are generated by the base station.
       auto& reservation = reservations_[uid];
       reservation.next_request_at = u.voice().next_packet_at();
       reservation.requested_packet_at = u.voice().packet().generated_at;
-    } else {
-      request.type = mac::RequestType::kData;
-      request.packets_requested = u.data().backlog();
-      request.deadline = kInf;
     }
-    pool_.push(request);
+    requests_.push(request);
   }
 }
 
@@ -163,7 +146,7 @@ void CharismaProtocol::refresh_backlog_csi() {
   // Short-list the backlog requests whose CSI has expired, by priority
   // (§4.4), and poll the top N_b through the pilot-symbol subframe.
   std::vector<mac::PendingRequest*> stale;
-  for (auto& request : pool_.entries()) {
+  for (auto& request : requests_.entries()) {
     if (request.csi.expired(now(), csi_estimator_.validity())) {
       stale.push_back(&request);
     }
@@ -211,8 +194,8 @@ void CharismaProtocol::allocate_and_transmit() {
   // performs: slots go to the best (CSI, urgency) candidates rather than to
   // whoever happened to win contention first.
   std::vector<mac::PendingRequest*> ranked;
-  ranked.reserve(pool_.size());
-  for (auto& request : pool_.entries()) ranked.push_back(&request);
+  ranked.reserve(requests_.size());
+  for (auto& request : requests_.entries()) ranked.push_back(&request);
   std::stable_sort(ranked.begin(), ranked.end(),
                    [this](const mac::PendingRequest* a,
                           const mac::PendingRequest* b) {
@@ -278,7 +261,7 @@ void CharismaProtocol::allocate_and_transmit() {
                         it != granted.end() ? it->second : 0.0);
     }
   }
-  for (common::UserId uid : completed) pool_.remove(uid);
+  for (common::UserId uid : completed) requests_.remove(uid);
 }
 
 }  // namespace charisma::core

@@ -17,7 +17,6 @@
 #include "core/fairness.hpp"
 #include "core/priority.hpp"
 #include "mac/engine.hpp"
-#include "mac/request_queue.hpp"
 
 namespace charisma::core {
 
@@ -46,17 +45,12 @@ class CharismaProtocol : public mac::ProtocolEngine {
 
   std::string name() const override { return "CHARISMA"; }
 
-  /// Current size of the base station's backlog pool (tests/inspection).
-  std::size_t pool_size() const { return pool_.size(); }
   std::size_t reservations_held() const { return reservations_.size(); }
 
  protected:
   common::Time process_frame() override;
   void on_user_detached(common::UserId id) override;
   void on_user_attached(common::UserId id) override;
-  std::int64_t pending_request_count() const override {
-    return static_cast<std::int64_t>(pool_.size());
-  }
 
  private:
   struct Reservation {
@@ -84,7 +78,6 @@ class CharismaProtocol : public mac::ProtocolEngine {
 
   CharismaOptions options_;
   int poll_budget_;
-  mac::RequestQueue pool_;  ///< pending requests awaiting allocation
   std::unordered_map<common::UserId, Reservation> reservations_;
   /// Base station's per-user CSI cache (last pilot observation).
   std::unordered_map<common::UserId, channel::CsiEstimate> csi_cache_;

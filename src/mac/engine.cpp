@@ -1,6 +1,8 @@
 #include "mac/engine.hpp"
 
 #include <algorithm>
+#include <cassert>
+#include <limits>
 #include <span>
 #include <stdexcept>
 
@@ -173,6 +175,7 @@ void ProtocolEngine::detach_user(common::UserId id) {
   auto& u = user(id);
   if (!u.present()) return;
   on_user_detached(id);
+  requests_.remove(id);
   if (u.is_voice()) {
     metrics_.voice_dropped_handoff += u.drop_pending_voice();
   }
@@ -189,6 +192,7 @@ void ProtocolEngine::attach_user(common::UserId id) {
   // continuity wins over a fresh draw), so ensure_traffic only fills gaps.
   u.ensure_traffic(params_);
   u.set_present(true);
+  assert(!requests_.contains(id));  // dropped on the last detach
   on_user_attached(id);
 }
 
@@ -196,6 +200,7 @@ void ProtocolEngine::attach_user_initial(common::UserId id) {
   auto& u = user(id);
   u.ensure_traffic(params_);
   u.set_present(true);
+  assert(!requests_.contains(id));
   on_user_attached(id);
 }
 
@@ -203,6 +208,7 @@ void ProtocolEngine::evict_user(common::UserId id) {
   auto& u = user(id);
   if (!u.present()) return;
   on_user_detached(id);
+  requests_.remove(id);
   if (u.is_voice()) {
     metrics_.voice_dropped_outage += u.drop_pending_voice();
   }
@@ -212,6 +218,9 @@ void ProtocolEngine::evict_user(common::UserId id) {
 
 common::Time ProtocolEngine::frame_tick() {
   advance_world();
+  // Queued voice requests whose packet deadline passed die before the
+  // protocol looks at the queue (the packet itself expired at the device).
+  requests_.purge_expired_voice(now_);
   const common::Time duration = process_frame();
   if (duration <= 0.0) {
     throw std::logic_error("process_frame returned non-positive duration");
@@ -247,7 +256,7 @@ void ProtocolEngine::barring_control_step() {
       barr_win_minislots_ > 0
           ? static_cast<double>(barr_win_collisions_) / barr_win_minislots_
           : 0.0;
-  raw.queue_depth = static_cast<double>(pending_request_count());
+  raw.queue_depth = static_cast<double>(requests_.size());
   raw.interference_db = last_interference_db_;
   load_estimator_->observe(raw);
   barring_->update(*load_estimator_);
@@ -309,6 +318,31 @@ bool ProtocolEngine::barring_blocks(MobileUser& u) {
   ++(u.is_voice() ? metrics_.barring_barred_voice
                   : metrics_.barring_barred_data);
   return true;
+}
+
+void ProtocolEngine::release_finished_talkspurts(ReservationGrid& grid) {
+  for (auto& u : users()) {
+    if (u.is_voice() && grid.has_reservation(u.id()) &&
+        !u.voice().in_talkspurt() && !u.voice().has_packet()) {
+      grid.release(u.id());
+    }
+  }
+}
+
+PendingRequest ProtocolEngine::request_for(MobileUser& u) const {
+  PendingRequest request;
+  request.user = u.id();
+  if (u.is_voice()) {
+    request.type = RequestType::kVoice;
+    request.deadline = u.voice().packet().deadline;
+    request.packets_requested = 1;
+  } else {
+    request.type = RequestType::kData;
+    request.deadline = std::numeric_limits<double>::infinity();
+    request.packets_requested = u.data().backlog();
+  }
+  request.acked_at = now_;
+  return request;
 }
 
 ContentionOutcome ProtocolEngine::run_contention(
@@ -384,13 +418,29 @@ std::optional<int> ProtocolEngine::fresh_mode_estimate(MobileUser& u) {
 
 void ProtocolEngine::transmit_voice_fixed(MobileUser& u) {
   note_assigned_slot();
-  auto& src = u.voice();
-  if (!src.has_packet()) {
+  if (!u.voice().has_packet()) {
     note_wasted_slot();
     return;  // device stays silent: no energy spent
   }
-  const bool ok = fixed_phy_.transmit_packet(u.channel().snr_linear(), u.rng());
-  src.consume_packet();
+  book_voice(u, fixed_phy_.transmit_packet(u.channel().snr_linear(), u.rng()));
+}
+
+void ProtocolEngine::transmit_voice_adaptive(MobileUser& u, int mode) {
+  note_assigned_slot();
+  // A mode too low to carry a whole packet wastes the allocation and the
+  // packet stays pending (it may still make a later frame before its
+  // deadline). The adaptive transmitter stays silent — its energy
+  // advantage over the blind fixed PHY.
+  if (!u.voice().has_packet() || adaptive_phy_.packets_per_slot(mode) < 1) {
+    note_wasted_slot();
+    return;
+  }
+  book_voice(u, adaptive_phy_.transmit_packet(
+                    mode, u.channel().snr_linear(), u.rng()));
+}
+
+void ProtocolEngine::book_voice(MobileUser& u, bool ok) {
+  u.voice().consume_packet();
   const double energy = burst_energy(geom_.slot_symbols);
   metrics_.energy_info_j += energy;
   if (ok) {
@@ -402,65 +452,10 @@ void ProtocolEngine::transmit_voice_fixed(MobileUser& u) {
   }
 }
 
-void ProtocolEngine::transmit_voice_adaptive(MobileUser& u, int mode) {
-  note_assigned_slot();
-  auto& src = u.voice();
-  if (!src.has_packet()) {
-    note_wasted_slot();
-    return;
-  }
-  if (adaptive_phy_.packets_per_slot(mode) < 1) {
-    // Mode too low to carry a whole packet: the allocation is wasted and
-    // the packet stays pending (it may still make a later frame before its
-    // deadline). The adaptive transmitter stays silent — its energy
-    // advantage over the blind fixed PHY.
-    note_wasted_slot();
-    return;
-  }
-  const bool ok =
-      adaptive_phy_.transmit_packet(mode, u.channel().snr_linear(), u.rng());
-  src.consume_packet();
-  const double energy = burst_energy(geom_.slot_symbols);
-  metrics_.energy_info_j += energy;
-  if (ok) {
-    ++metrics_.voice_delivered;
-    note_user_delivery(u.id(), 1);
-  } else {
-    ++metrics_.voice_error_lost;
-    metrics_.energy_wasted_j += energy;
-  }
-}
-
-int ProtocolEngine::transmit_data_fixed(MobileUser& u) {
+int ProtocolEngine::send_data(MobileUser& u, std::optional<int> mode,
+                              int cap) {
   note_assigned_slot();
   auto& src = u.data();
-  if (src.empty()) {
-    note_wasted_slot();
-    return 0;
-  }
-  const common::Time arrival = src.head_arrival();
-  src.pop_head();
-  ++metrics_.data_tx_attempts;
-  const double energy = burst_energy(geom_.slot_symbols);
-  metrics_.energy_info_j += energy;
-  if (fixed_phy_.transmit_packet(u.channel().snr_linear(), u.rng())) {
-    ++metrics_.data_delivered;
-    metrics_.data_delay_s.add(now_ - arrival);
-    metrics_.data_delay_hist.add(now_ - arrival);
-    note_user_delivery(u.id(), 1);
-    return 1;
-  }
-  ++metrics_.data_retransmissions;
-  metrics_.energy_wasted_j += energy;
-  src.push_front(std::span<const common::Time>(&arrival, 1));
-  return 0;
-}
-
-int ProtocolEngine::transmit_data_adaptive(MobileUser& u, int mode,
-                                           int max_packets) {
-  note_assigned_slot();
-  auto& src = u.data();
-  const int cap = std::min(adaptive_phy_.packets_per_slot(mode), max_packets);
   if (cap < 1 || src.empty()) {
     note_wasted_slot();
     return 0;
@@ -477,7 +472,9 @@ int ProtocolEngine::transmit_data_adaptive(MobileUser& u, int mode,
     const common::Time arrival = src.head_arrival();
     src.pop_head();
     ++metrics_.data_tx_attempts;
-    if (adaptive_phy_.transmit_packet(mode, snr, u.rng())) {
+    const bool ok = mode ? adaptive_phy_.transmit_packet(*mode, snr, u.rng())
+                         : fixed_phy_.transmit_packet(snr, u.rng());
+    if (ok) {
       ++metrics_.data_delivered;
       metrics_.data_delay_s.add(t - arrival);
       metrics_.data_delay_hist.add(t - arrival);
@@ -489,10 +486,11 @@ int ProtocolEngine::transmit_data_adaptive(MobileUser& u, int mode,
   }
   src.push_front(failed);
   if (delivered > 0) note_user_delivery(u.id(), delivered);
-  // One slot burst regardless of fill; the corrupted fraction is waste.
+  // One slot burst regardless of fill; the corrupted fraction is waste
+  // (all of it for a lost single packet: energy * 1 / 1 == energy).
   const double energy = burst_energy(geom_.slot_symbols);
   metrics_.energy_info_j += energy;
-  if (to_send > 0 && delivered < to_send) {
+  if (delivered < to_send) {
     metrics_.energy_wasted_j +=
         energy * static_cast<double>(to_send - delivered) /
         static_cast<double>(to_send);

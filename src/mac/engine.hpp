@@ -2,11 +2,18 @@
 // protocol runs on. It owns the world (users, channels, sources), the
 // simulation clock, both physical layers, the CSI estimator and the
 // metrics, and steps the frame loop itself: each frame starts where the
-// previous one ended. Subclasses implement process_frame() with their
-// access-control rules and return the frame duration they consumed —
-// constant for the static-frame protocols, data-dependent for RMAV/DRMA.
+// previous one ended. It also owns the MAC duties the protocols share —
+// the §4.5 base-station request queue (expiry purge, detach removal, the
+// barring loop's queue-depth signal), talkspurt-end reservation release,
+// the new-contender filter with its barring draw, request filing,
+// voice-first FCFS service and the transmit bookkeeping — so a protocol
+// differs from another only in its access-control rules. Subclasses
+// implement process_frame() with those rules and return the frame
+// duration they consumed — constant for the static-frame protocols,
+// data-dependent for RMAV/DRMA.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -24,6 +31,8 @@
 #include "mac/load_estimator.hpp"
 #include "mac/metrics.hpp"
 #include "mac/mobile_user.hpp"
+#include "mac/request_queue.hpp"
+#include "mac/reservation.hpp"
 #include "mac/scenario.hpp"
 #include "phy/adaptive_phy.hpp"
 #include "phy/fixed_phy.hpp"
@@ -187,6 +196,10 @@ class ProtocolEngine {
     return barring_ ? barring_->data_factor() : 1.0;
   }
 
+  /// Requests waiting in the base station's §4.5 queue (CHARISMA: its
+  /// backlog pool) — tests/inspection.
+  std::size_t queued_requests() const { return requests_.size(); }
+
   const ProtocolMetrics& metrics() const { return metrics_; }
   const ScenarioParams& params() const { return params_; }
   common::Time now() const { return now_; }
@@ -208,8 +221,9 @@ class ProtocolEngine {
   virtual common::Time process_frame() = 0;
 
   /// Protocol hook run by detach_user before the user goes absent: release
-  /// every per-user structure the protocol holds (reservations, queue
-  /// entries, grants, CSI cache). Default: nothing to release.
+  /// every per-user structure the protocol holds (reservations, grants,
+  /// CSI cache; the engine drops the user's queued request itself).
+  /// Default: nothing to release.
   virtual void on_user_detached(common::UserId /*id*/) {}
 
   /// Twin hook run by attach_user / attach_user_initial after the user
@@ -220,11 +234,6 @@ class ProtocolEngine {
   /// detach/release cycle. Never fired for the dense at-construction
   /// population (protocol constructors run after admission).
   virtual void on_user_attached(common::UserId /*id*/) {}
-
-  /// Number of requests the protocol is holding at the base station
-  /// (admitted but unserved) — the LoadEstimator's queue-depth signal.
-  /// Default: no queue.
-  virtual std::int64_t pending_request_count() const { return 0; }
 
   // ---- World helpers ----
 
@@ -254,6 +263,67 @@ class ProtocolEngine {
   /// would become a NEW contention candidate (never on users already
   /// holding a reservation or a queued request).
   bool barring_blocks(MobileUser& u);
+
+  // ---- Shared MAC duties ----
+
+  /// This frame's phase of the voice period: the ReservationGrid row whose
+  /// owners transmit now.
+  int voice_phase() const {
+    return static_cast<int>(frame_index_ % geom_.frames_per_voice_period);
+  }
+
+  /// Releases the grid reservation of every voice user whose talkspurt has
+  /// ended with no packet left to send.
+  void release_finished_talkspurts(ReservationGrid& grid);
+
+  /// The new-contender filter for a present user not already holding a
+  /// queued request (callers check both first): voice needs a pending
+  /// talkspurt packet and no reservation, data a backlog. The barring
+  /// draw comes last, so only would-be contenders consume it.
+  bool wants_access(MobileUser& u, const ReservationGrid& grid) {
+    const bool active = u.is_voice()
+                            ? !grid.has_reservation(u.id()) &&
+                                  u.voice().in_talkspurt() &&
+                                  u.voice().has_packet()
+                            : u.data().backlog() > 0;
+    return active && !barring_blocks(u);
+  }
+
+  /// The request a contention winner files now: one packet by its
+  /// deadline for voice, the whole backlog (no deadline) for data.
+  PendingRequest request_for(MobileUser& u) const;
+
+  /// FCFS service with voice outranking data (paper §1): the queued
+  /// requests (oldest first), then this frame's `winners` (in win order),
+  /// all voice before any data. `serve(request)` returns true when the
+  /// request is finished (served or dead); an unfinished one waits in the
+  /// queue in the with-queue configuration (§4.5) and dies otherwise. The
+  /// partition is built class by class in reused member scratch, so the
+  /// steady-state serve path allocates nothing.
+  template <class Serve>
+  void serve_voice_first(std::span<const common::UserId> winners,
+                         Serve&& serve) {
+    winner_scratch_.clear();
+    for (const common::UserId id : winners) {
+      winner_scratch_.push_back(request_for(user(id)));
+    }
+    serve_scratch_.clear();
+    for (const auto type : {RequestType::kVoice, RequestType::kData}) {
+      for (const auto& request : requests_.entries()) {
+        if (request.type == type) serve_scratch_.push_back(request);
+      }
+      for (const auto& request : winner_scratch_) {
+        if (request.type == type) serve_scratch_.push_back(request);
+      }
+    }
+    requests_.clear();
+    for (auto& request : serve_scratch_) {
+      if (!serve(request) && params_.request_queue) {
+        ++request.frames_waited;
+        requests_.push(request);
+      }
+    }
+  }
 
   /// Runs a contention phase over `candidates` with the class permission
   /// probabilities scaled by each device's backoff state, records the
@@ -296,12 +366,16 @@ class ProtocolEngine {
 
   /// Data packets over the fixed PHY (one per slot). Returns delivered
   /// count (0 or 1); failures stay queued for ARQ retransmission.
-  int transmit_data_fixed(MobileUser& u);
+  int transmit_data_fixed(MobileUser& u) { return send_data(u, {}, 1); }
 
   /// Data packets over the adaptive PHY: up to min(packets_per_slot(mode),
   /// max_packets) head-of-line packets in one slot. Returns delivered
   /// count.
-  int transmit_data_adaptive(MobileUser& u, int mode, int max_packets);
+  int transmit_data_adaptive(MobileUser& u, int mode, int max_packets) {
+    return send_data(u, mode,
+                     std::min(adaptive_phy_.packets_per_slot(mode),
+                              max_packets));
+  }
 
   // ---- Accounting helpers ----
   void note_contention(const ContentionTally& tally);
@@ -325,11 +399,28 @@ class ProtocolEngine {
   channel::CsiEstimator csi_estimator_;
   common::RngStream bs_rng_;
   common::FrameIndex frame_index_ = 0;
-  /// Failed-arrival scratch for transmit_data_adaptive, reused across
-  /// frames so steady-state ARQ retransmissions stay allocation-free.
-  std::vector<common::Time> retx_scratch_;
+  /// The §4.5 base-station request queue (CHARISMA's backlog pool). The
+  /// engine purges expired voice entries just before each process_frame
+  /// and drops a leaving user's entry; protocols file and serve the rest.
+  RequestQueue requests_;
 
  private:
+  /// One occupied slot's voice booking after the PHY decided `ok`: the
+  /// packet is consumed, the burst energy charged, and delivery or
+  /// channel-error loss counted.
+  void book_voice(MobileUser& u, bool ok);
+  /// One slot's data burst: up to `cap` head-of-line packets over the
+  /// adaptive PHY in `mode`, or over the fixed PHY when `mode` is empty.
+  /// Failures return to the head of the queue for ARQ. Returns delivered.
+  int send_data(MobileUser& u, std::optional<int> mode, int cap);
+
+  /// Failed-arrival scratch for send_data, reused across frames so
+  /// steady-state ARQ retransmissions stay allocation-free.
+  std::vector<common::Time> retx_scratch_;
+  /// serve_voice_first's winner requests and serve order, reused across
+  /// frames.
+  std::vector<PendingRequest> winner_scratch_;
+  std::vector<PendingRequest> serve_scratch_;
   /// One frame at now(): advance the world, run the protocol frame, and
   /// return the consumed duration (the offset of the next frame).
   common::Time frame_tick();

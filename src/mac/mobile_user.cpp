@@ -36,36 +36,21 @@ channel::ChannelConfig user_channel_config(common::UserId id,
 channel::UserChannel make_channel(common::UserId id,
                                   const ScenarioParams& params,
                                   std::uint64_t seed,
-                                  channel::ChannelBank* bank) {
-  const channel::ChannelConfig cfg = user_channel_config(id, params);
+                                  channel::ChannelBank& bank) {
   common::RngStream rng(seed,
                         kChannelStream + static_cast<std::uint64_t>(id));
-  if (bank != nullptr) {
-    return channel::UserChannel(*bank,
-                                bank->acquire_user(cfg, std::move(rng)));
-  }
-  return channel::UserChannel(cfg, std::move(rng));
+  return channel::UserChannel(
+      bank, bank.acquire_user(user_channel_config(id, params), std::move(rng)));
 }
 }  // namespace
 
 MobileUser::MobileUser(common::UserId id, ServiceType service,
                        const ScenarioParams& params,
-                       channel::ChannelBank* bank)
+                       channel::ChannelBank& bank, std::uint32_t visit)
     : id_(id),
       service_(service),
-      seed_(params.seed),
-      channel_(make_channel(id, params, params.seed, bank)) {
-  ensure_traffic(params);
-}
-
-MobileUser::MobileUser(common::UserId id, ServiceType service,
-                       const ScenarioParams& params,
-                       channel::ChannelBank& bank, std::uint32_t visit)
-    : present_(false),
-      id_(id),
-      service_(service),
       seed_(visit_seed(params.seed, visit)),
-      channel_(make_channel(id, params, seed_, &bank)) {}
+      channel_(make_channel(id, params, seed_, bank)) {}
 
 void MobileUser::ensure_traffic(const ScenarioParams& params) {
   if (!rng_.has_value()) {

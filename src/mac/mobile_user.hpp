@@ -33,20 +33,11 @@ enum class ServiceType { kVoice, kData };
 
 class MobileUser {
  public:
-  /// Fully materialized user, present, visit 0: the historical single-cell
-  /// constructor. When `bank` is non-null the user's channel is registered
-  /// in that shared ChannelBank (the engine's batched hot path); otherwise
-  /// the channel is standalone. Seeding is identical either way, so the
-  /// same user sees the same channel in both modes.
-  MobileUser(common::UserId id, ServiceType service,
-             const ScenarioParams& params,
-             channel::ChannelBank* bank = nullptr);
-
   /// Band-shell constructor (sparse presence): acquires a channel row in
   /// `bank` but defers the traffic sources and the MAC stream until
   /// ensure_traffic; the user starts absent. `visit` is the per-(user,
   /// cell) band-entry counter: visit 0 draws from the plain scenario seed
-  /// (bit-identical to the historical constructor), visit v > 0 derives a
+  /// (the dense population's seeding), visit v > 0 derives a
   /// fresh rebirth seed, so what a re-entering user's row draws depends
   /// only on (seed, id, visit) — never on the presence history of the rest
   /// of the population or on which bank slot the free-list handed back.
@@ -77,7 +68,7 @@ class MobileUser {
   /// traffic source only when none exists yet (a handoff adopts the
   /// source from the previous cell first — that continuity wins over a
   /// fresh draw). Seeded from this user's visit-derived seed, so a first
-  /// attach draws exactly what the historical constructor drew. Idempotent.
+  /// attach draws the plain scenario seed's streams. Idempotent.
   void ensure_traffic(const ScenarioParams& params);
 
   // ---- Multi-cell presence (CellularWorld) ----
@@ -126,7 +117,7 @@ class MobileUser {
 
  private:
   double backoff_scale_ = 1.0;
-  bool present_ = true;
+  bool present_ = false;
   common::UserId id_;
   ServiceType service_;
   std::uint64_t seed_;  // visit-derived scenario seed (visit 0: the plain one)

@@ -2,13 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 
 namespace charisma::protocols {
-
-namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
-}
 
 DrmaProtocol::DrmaProtocol(const mac::ScenarioParams& params,
                            DrmaOptions options)
@@ -16,15 +11,11 @@ DrmaProtocol::DrmaProtocol(const mac::ScenarioParams& params,
       options_(options),
       grid_(params.geometry.frames_per_voice_period, options.info_slots) {}
 
-void DrmaProtocol::on_user_detached(common::UserId id) {
-  grid_.release(id);
-  queue_.remove(id);
-}
+void DrmaProtocol::on_user_detached(common::UserId id) { grid_.release(id); }
 
 void DrmaProtocol::on_user_attached([[maybe_unused]] common::UserId id) {
-  // A (re-)attaching user must arrive clean of earlier-stay state.
+  // A (re-)attaching user must arrive clean of earlier-stay reservations.
   assert(!grid_.has_reservation(id));
-  assert(!queue_.contains(id));
 }
 
 bool DrmaProtocol::engaged(common::UserId id) const {
@@ -42,23 +33,14 @@ void DrmaProtocol::disengage(common::UserId id) {
 }
 
 common::Time DrmaProtocol::process_frame() {
-  // Release reservations of finished talkspurts.
-  for (auto& u : users()) {
-    if (u.is_voice() && grid_.has_reservation(u.id()) &&
-        !u.voice().in_talkspurt() && !u.voice().has_packet()) {
-      grid_.release(u.id());
-    }
-  }
-  queue_.purge_expired_voice(now());
-
-  const int phase =
-      static_cast<int>(frame_index() % geom_.frames_per_voice_period);
+  release_finished_talkspurts(grid_);
+  const int phase = voice_phase();
   offer_info_slots(options_.info_slots);
 
   // Requests awaiting service: yesterday's queue first (with-queue mode),
   // then winners of this frame's conversions as they happen.
-  pending_.assign(queue_.entries().begin(), queue_.entries().end());
-  queue_.clear();
+  pending_.assign(requests_.entries().begin(), requests_.entries().end());
+  requests_.clear();
   engaged_.clear();
   for (const auto& r : pending_) engage(r.user);
 
@@ -126,36 +108,15 @@ common::Time DrmaProtocol::process_frame() {
     // minislots.
     candidates_.clear();
     for (auto& u : users()) {
-      if (!u.present()) continue;
-      if (engaged(u.id())) continue;
-      if (u.is_voice()) {
-        if (!grid_.has_reservation(u.id()) && u.voice().in_talkspurt() &&
-            u.voice().has_packet() && !barring_blocks(u)) {
-          candidates_.push_back(u.id());
-        }
-      } else if (u.data().backlog() > 0 && !barring_blocks(u)) {
-        candidates_.push_back(u.id());
-      }
+      if (!u.present() || engaged(u.id())) continue;
+      if (wants_access(u, grid_)) candidates_.push_back(u.id());
     }
     if (candidates_.empty()) continue;  // slot stays idle
 
     auto outcome =
         run_contention(candidates_, options_.minislots_per_conversion);
     for (common::UserId uid : outcome.winners) {
-      mac::PendingRequest request;
-      request.user = uid;
-      auto& u = user(uid);
-      if (u.is_voice()) {
-        request.type = mac::RequestType::kVoice;
-        request.deadline = u.voice().packet().deadline;
-        request.packets_requested = 1;
-      } else {
-        request.type = mac::RequestType::kData;
-        request.deadline = kInf;
-        request.packets_requested = u.data().backlog();
-      }
-      request.acked_at = now();
-      pending_.push_back(request);
+      pending_.push_back(request_for(user(uid)));
       engage(uid);
     }
   }
@@ -164,7 +125,7 @@ common::Time DrmaProtocol::process_frame() {
   if (params_.request_queue) {
     for (auto& request : pending_) {
       ++request.frames_waited;
-      queue_.push(request);
+      requests_.push(request);
     }
   }
   return geom_.frame_duration;

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "mac/engine.hpp"
-#include "mac/request_queue.hpp"
 #include "mac/reservation.hpp"
 
 namespace charisma::protocols {
@@ -33,16 +32,12 @@ class DrmaProtocol : public mac::ProtocolEngine {
 
   std::string name() const override { return "DRMA"; }
 
-  std::size_t queue_size() const { return queue_.size(); }
   int reservations_held() const { return grid_.occupied_total(); }
 
  protected:
   common::Time process_frame() override;
   void on_user_detached(common::UserId id) override;
   void on_user_attached(common::UserId id) override;
-  std::int64_t pending_request_count() const override {
-    return static_cast<std::int64_t>(queue_.size());
-  }
 
  private:
   /// Set operations on engaged_, kept sorted so membership is a binary
@@ -53,7 +48,6 @@ class DrmaProtocol : public mac::ProtocolEngine {
 
   DrmaOptions options_;
   mac::ReservationGrid grid_;
-  mac::RequestQueue queue_;
   // Per-frame scratch, reused across frames so the steady-state frame loop
   // stays allocation-free.
   std::vector<mac::PendingRequest> pending_;   ///< requests awaiting a slot

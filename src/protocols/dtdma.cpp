@@ -1,14 +1,9 @@
 #include "protocols/dtdma.hpp"
 
 #include <cassert>
-#include <limits>
 #include <vector>
 
 namespace charisma::protocols {
-
-namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
-}
 
 DtdmaProtocol::DtdmaProtocol(const mac::ScenarioParams& params,
                              PhyVariant variant)
@@ -17,24 +12,11 @@ DtdmaProtocol::DtdmaProtocol(const mac::ScenarioParams& params,
       grid_(params.geometry.frames_per_voice_period,
             params.geometry.num_info_slots) {}
 
-void DtdmaProtocol::on_user_detached(common::UserId id) {
-  grid_.release(id);
-  queue_.remove(id);
-}
+void DtdmaProtocol::on_user_detached(common::UserId id) { grid_.release(id); }
 
 void DtdmaProtocol::on_user_attached([[maybe_unused]] common::UserId id) {
-  // A (re-)attaching user must arrive clean of earlier-stay state.
+  // A (re-)attaching user must arrive clean of earlier-stay reservations.
   assert(!grid_.has_reservation(id));
-  assert(!queue_.contains(id));
-}
-
-void DtdmaProtocol::release_finished_talkspurts() {
-  for (auto& u : users()) {
-    if (u.is_voice() && grid_.has_reservation(u.id()) &&
-        !u.voice().in_talkspurt() && !u.voice().has_packet()) {
-      grid_.release(u.id());
-    }
-  }
 }
 
 void DtdmaProtocol::transmit_voice(mac::MobileUser& u) {
@@ -92,16 +74,13 @@ bool DtdmaProtocol::serve_request(const mac::PendingRequest& request,
 }
 
 common::Time DtdmaProtocol::process_frame() {
-  release_finished_talkspurts();
-  queue_.purge_expired_voice(now());
-
-  const int phase =
-      static_cast<int>(frame_index() % geom_.frames_per_voice_period);
+  release_finished_talkspurts(grid_);
+  const int phase = voice_phase();
   offer_info_slots(geom_.num_info_slots);
 
   // 1. Reserved voice users transmit in their owned slots. They are this
   //    frame's dense read set, so declare them to a lazy bank in one batch
-  //    (queued to_serve users are sparse and materialize on read).
+  //    (queued users are sparse and materialize on read).
   const auto due = grid_.due_in_phase(phase);
   touch_channels(due);
   for (common::UserId uid : due) {
@@ -112,61 +91,18 @@ common::Time DtdmaProtocol::process_frame() {
   // 2. Request phase: N_r contention minislots.
   std::vector<common::UserId> candidates;
   for (auto& u : users()) {
-    if (!u.present()) continue;
-    if (queue_.contains(u.id())) continue;
-    if (u.is_voice()) {
-      if (!grid_.has_reservation(u.id()) && u.voice().in_talkspurt() &&
-          u.voice().has_packet() && !barring_blocks(u)) {
-        candidates.push_back(u.id());
-      }
-    } else if (u.data().backlog() > 0 && !barring_blocks(u)) {
-      candidates.push_back(u.id());
-    }
+    if (!u.present() || requests_.contains(u.id())) continue;
+    if (wants_access(u, grid_)) candidates.push_back(u.id());
   }
   auto outcome = run_contention(candidates, geom_.num_request_slots);
 
   // 3. FCFS service: queued requests first (oldest), then this frame's
-  //    winners in minislot order. Unserved requests stay queued only in
-  //    the with-queue configuration (§4.5). Voice outranks data in every
-  //    protocol of the study (paper §1): serve all voice requests before
-  //    any data request, FCFS within each class — the class-by-class
-  //    two-pass build below reproduces a stable voice-first partition of
-  //    [queue entries, winners] in reused member scratch, so the
-  //    steady-state serve path allocates nothing.
-  winner_scratch_.clear();
-  for (common::UserId uid : outcome.winners) {
-    mac::PendingRequest request;
-    request.user = uid;
-    auto& u = user(uid);
-    if (u.is_voice()) {
-      request.type = mac::RequestType::kVoice;
-      request.deadline = u.voice().packet().deadline;
-      request.packets_requested = 1;
-    } else {
-      request.type = mac::RequestType::kData;
-      request.deadline = kInf;
-      request.packets_requested = u.data().backlog();
-    }
-    request.acked_at = now();
-    winner_scratch_.push_back(request);
-  }
-  serve_scratch_.clear();
-  for (auto type : {mac::RequestType::kVoice, mac::RequestType::kData}) {
-    for (const auto& request : queue_.entries()) {
-      if (request.type == type) serve_scratch_.push_back(request);
-    }
-    for (const auto& request : winner_scratch_) {
-      if (request.type == type) serve_scratch_.push_back(request);
-    }
-  }
-  queue_.clear();
-  for (auto& request : serve_scratch_) {
-    const bool finished = serve_request(request, phase, free_slots);
-    if (!finished && params_.request_queue) {
-      ++request.frames_waited;
-      queue_.push(request);
-    }
-  }
+  //    winners in minislot order, voice before data. Unserved requests
+  //    stay queued only in the with-queue configuration (§4.5).
+  serve_voice_first(outcome.winners,
+                    [&](const mac::PendingRequest& request) {
+                      return serve_request(request, phase, free_slots);
+                    });
   return geom_.frame_duration;
 }
 

@@ -12,10 +12,8 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "mac/engine.hpp"
-#include "mac/request_queue.hpp"
 #include "mac/reservation.hpp"
 
 namespace charisma::protocols {
@@ -30,19 +28,14 @@ class DtdmaProtocol : public mac::ProtocolEngine {
     return variant_ == PhyVariant::kFixedRate ? "D-TDMA/FR" : "D-TDMA/VR";
   }
 
-  std::size_t queue_size() const { return queue_.size(); }
   int reservations_held() const { return grid_.occupied_total(); }
 
  protected:
   common::Time process_frame() override;
   void on_user_detached(common::UserId id) override;
   void on_user_attached(common::UserId id) override;
-  std::int64_t pending_request_count() const override {
-    return static_cast<std::int64_t>(queue_.size());
-  }
 
  private:
-  void release_finished_talkspurts();
   /// Serves one request (voice: reserve + transmit; data: leftover slots).
   /// Returns true when the request is finished (served or dead) and must
   /// not be re-queued.
@@ -53,12 +46,6 @@ class DtdmaProtocol : public mac::ProtocolEngine {
 
   PhyVariant variant_;
   mac::ReservationGrid grid_;
-  mac::RequestQueue queue_;
-  // Reused across frames so the steady-state serve path (queued requests +
-  // this frame's winners, voice first) allocates nothing — the frame_alloc
-  // pin drives a retransmitting data queue through here.
-  std::vector<mac::PendingRequest> winner_scratch_;
-  std::vector<mac::PendingRequest> serve_scratch_;
 };
 
 }  // namespace charisma::protocols

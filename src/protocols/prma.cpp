@@ -19,16 +19,8 @@ void PrmaProtocol::on_user_attached([[maybe_unused]] common::UserId id) {
 }
 
 common::Time PrmaProtocol::process_frame() {
-  // Release reservations of finished talkspurts.
-  for (auto& u : users()) {
-    if (u.is_voice() && grid_.has_reservation(u.id()) &&
-        !u.voice().in_talkspurt() && !u.voice().has_packet()) {
-      grid_.release(u.id());
-    }
-  }
-
-  const int phase =
-      static_cast<int>(frame_index() % geom_.frames_per_voice_period);
+  release_finished_talkspurts(grid_);
+  const int phase = voice_phase();
   offer_info_slots(options_.info_slots);
 
   // Touch set: this phase's reservation holders transmit unconditionally;
@@ -51,14 +43,7 @@ common::Time PrmaProtocol::process_frame() {
     // Available slot: contenders transmit their packet directly.
     std::vector<common::UserId> transmitters;
     for (auto& u : users()) {
-      if (!u.present()) continue;
-      const bool active = u.is_voice()
-                              ? (!grid_.has_reservation(u.id()) &&
-                                 u.voice().in_talkspurt() &&
-                                 u.voice().has_packet())
-                              : u.data().backlog() > 0;
-      if (!active) continue;
-      if (barring_blocks(u)) continue;
+      if (!u.present() || !wants_access(u, grid_)) continue;
       if (u.rng().bernoulli(permission_prob(u) * u.backoff_scale())) {
         transmitters.push_back(u.id());
       }

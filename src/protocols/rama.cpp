@@ -1,15 +1,9 @@
 #include "protocols/rama.hpp"
 
 #include <cassert>
-#include <algorithm>
-#include <limits>
 #include <vector>
 
 namespace charisma::protocols {
-
-namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
-}
 
 RamaProtocol::RamaProtocol(const mac::ScenarioParams& params,
                            RamaOptions options)
@@ -18,24 +12,11 @@ RamaProtocol::RamaProtocol(const mac::ScenarioParams& params,
       grid_(params.geometry.frames_per_voice_period,
             params.geometry.num_info_slots) {}
 
-void RamaProtocol::on_user_detached(common::UserId id) {
-  grid_.release(id);
-  queue_.remove(id);
-}
+void RamaProtocol::on_user_detached(common::UserId id) { grid_.release(id); }
 
 void RamaProtocol::on_user_attached([[maybe_unused]] common::UserId id) {
-  // A (re-)attaching user must arrive clean of earlier-stay state.
+  // A (re-)attaching user must arrive clean of earlier-stay reservations.
   assert(!grid_.has_reservation(id));
-  assert(!queue_.contains(id));
-}
-
-void RamaProtocol::release_finished_talkspurts() {
-  for (auto& u : users()) {
-    if (u.is_voice() && grid_.has_reservation(u.id()) &&
-        !u.voice().in_talkspurt() && !u.voice().has_packet()) {
-      grid_.release(u.id());
-    }
-  }
 }
 
 bool RamaProtocol::serve_request(const mac::PendingRequest& request, int phase,
@@ -61,11 +42,8 @@ bool RamaProtocol::serve_request(const mac::PendingRequest& request, int phase,
 }
 
 common::Time RamaProtocol::process_frame() {
-  release_finished_talkspurts();
-  queue_.purge_expired_voice(now());
-
-  const int phase =
-      static_cast<int>(frame_index() % geom_.frames_per_voice_period);
+  release_finished_talkspurts(grid_);
+  const int phase = voice_phase();
   offer_info_slots(geom_.num_info_slots);
 
   // This frame's dense read set: reservation holders transmit below; the
@@ -78,35 +56,21 @@ common::Time RamaProtocol::process_frame() {
   }
   int free_slots = geom_.num_info_slots - static_cast<int>(due.size());
 
-  // Queued requests go first (FCFS).
-  std::vector<mac::PendingRequest> to_serve(queue_.entries().begin(),
-                                            queue_.entries().end());
-  queue_.clear();
-
-  // The auction: every active device participates (no permission
-  // probability — the bidding process is the arbitration). Each auction
-  // slot resolves one winner; voice IDs dominate data IDs.
+  // The auction: every active device without a queued request
+  // participates (no permission probability — the bidding process is the
+  // arbitration, so the barring gate is the only admission control in
+  // front of it). Each auction slot resolves one winner; voice IDs
+  // dominate data IDs.
   std::vector<common::UserId> voice_contenders;
   std::vector<common::UserId> data_contenders;
   for (auto& u : users()) {
-    if (!u.present()) continue;
-    if (queue_.contains(u.id())) continue;
-    const bool queued = std::any_of(
-        to_serve.begin(), to_serve.end(),
-        [&u](const mac::PendingRequest& r) { return r.user == u.id(); });
-    if (queued) continue;
-    if (u.is_voice()) {
-      // RAMA has no permission probability, so the barring gate is the
-      // only admission control in front of the auction.
-      if (!grid_.has_reservation(u.id()) && u.voice().in_talkspurt() &&
-          u.voice().has_packet() && !barring_blocks(u)) {
-        voice_contenders.push_back(u.id());
-      }
-    } else if (u.data().backlog() > 0 && !barring_blocks(u)) {
-      data_contenders.push_back(u.id());
+    if (!u.present() || requests_.contains(u.id())) continue;
+    if (wants_access(u, grid_)) {
+      (u.is_voice() ? voice_contenders : data_contenders).push_back(u.id());
     }
   }
 
+  winners_.clear();
   mac::ContentionTally tally;
   tally.minislots = options_.auction_slots;
   // An auction slot spans ~3 minislots of digit rounds; every remaining
@@ -136,37 +100,15 @@ common::Time RamaProtocol::process_frame() {
     const common::UserId winner = (*pool)[static_cast<std::size_t>(pick)];
     pool->erase(pool->begin() + pick);
     ++tally.successes;
-
-    mac::PendingRequest request;
-    request.user = winner;
-    auto& u = user(winner);
-    if (u.is_voice()) {
-      request.type = mac::RequestType::kVoice;
-      request.deadline = u.voice().packet().deadline;
-      request.packets_requested = 1;
-    } else {
-      request.type = mac::RequestType::kData;
-      request.deadline = kInf;
-      request.packets_requested = u.data().backlog();
-    }
-    request.acked_at = now();
-    to_serve.push_back(request);
+    winners_.push_back(winner);
   }
   note_contention(tally);
 
-  // Voice outranks data (paper §1): serve all voice requests before any
-  // data request, FCFS within each class.
-  std::stable_partition(to_serve.begin(), to_serve.end(),
-                        [](const mac::PendingRequest& r) {
-                          return r.type == mac::RequestType::kVoice;
-                        });
-  for (auto& request : to_serve) {
-    const bool finished = serve_request(request, phase, free_slots);
-    if (!finished && params_.request_queue) {
-      ++request.frames_waited;
-      queue_.push(request);
-    }
-  }
+  // Queued requests first (FCFS), then the auction winners; voice
+  // outranks data (paper §1).
+  serve_voice_first(winners_, [&](const mac::PendingRequest& request) {
+    return serve_request(request, phase, free_slots);
+  });
   return geom_.frame_duration;
 }
 

@@ -9,9 +9,9 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "mac/engine.hpp"
-#include "mac/request_queue.hpp"
 #include "mac/reservation.hpp"
 
 namespace charisma::protocols {
@@ -31,26 +31,22 @@ class RamaProtocol : public mac::ProtocolEngine {
 
   std::string name() const override { return "RAMA"; }
 
-  std::size_t queue_size() const { return queue_.size(); }
   int reservations_held() const { return grid_.occupied_total(); }
 
  protected:
   common::Time process_frame() override;
   void on_user_detached(common::UserId id) override;
   void on_user_attached(common::UserId id) override;
-  std::int64_t pending_request_count() const override {
-    return static_cast<std::int64_t>(queue_.size());
-  }
 
  private:
-  void release_finished_talkspurts();
   /// Serves an auction winner / queued request; true when finished.
   bool serve_request(const mac::PendingRequest& request, int phase,
                      int& free_slots);
 
   RamaOptions options_;
   mac::ReservationGrid grid_;
-  mac::RequestQueue queue_;
+  /// This frame's auction winners in win order, reused across frames.
+  std::vector<common::UserId> winners_;
 };
 
 }  // namespace charisma::protocols

@@ -50,7 +50,7 @@ TEST(Charisma, VoiceContendsOncePerTalkspurtNotPerPacket) {
 TEST(Charisma, NoQueueClearsPoolEveryFrame) {
   CharismaProtocol proto(small_mixed(10, 5, /*queue=*/false));
   proto.run(2.0, 5.0);
-  EXPECT_EQ(proto.pool_size(), 0u);
+  EXPECT_EQ(proto.queued_requests(), 0u);
 }
 
 TEST(Charisma, CsiPollingActiveWithQueue) {

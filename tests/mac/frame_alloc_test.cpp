@@ -154,7 +154,8 @@ TEST(FrameAlloc, RetransmittingDataScenarioStaysAllocationFree) {
   // The ARQ path: a data backlog cycling through pop_head +
   // DataSource::push_front every frame. FR pins the single-arrival span
   // overload in transmit_data_fixed; VR pins the batch path through the
-  // engine's reused retx_scratch_. A deep fade (mean SNR -30 dB) makes
+  // engine's reused retx_scratch_; RAMA pins the engine's voice-first
+  // serve scratch with one slot per queued data request each frame. A deep fade (mean SNR -30 dB) makes
   // every attempt fail while a huge CSI error still talks the VR
   // transmitter into trying modes it cannot sustain, so the backlog never
   // drains: the deque's front cursor oscillates in place and the warm
@@ -162,7 +163,8 @@ TEST(FrameAlloc, RetransmittingDataScenarioStaysAllocationFree) {
   // interarrival) and the backlog seeded by hand, so no push_back crosses
   // a block boundary inside the counted window either.
   for (auto id :
-       {protocols::ProtocolId::kDtdmaFr, protocols::ProtocolId::kDtdmaVr}) {
+       {protocols::ProtocolId::kDtdmaFr, protocols::ProtocolId::kDtdmaVr,
+        protocols::ProtocolId::kRama}) {
     SCOPED_TRACE(protocols::protocol_name(id));
     mac::ScenarioParams params;
     params.num_voice_users = 0;
@@ -189,10 +191,13 @@ TEST(FrameAlloc, RetransmittingDataScenarioStaysAllocationFree) {
     // 400-frame retransmission loop inside must add nothing.
     EXPECT_LE(g_allocations.load(std::memory_order_relaxed) - before, 1u);
     // The pin is vacuous unless the retransmission cycle actually ran. FR
-    // attempts every granted slot; VR only when its (badly mistaken) CSI
-    // estimate picks a mode, so its floor is lower.
-    EXPECT_GT(engine->metrics().data_retransmissions,
-              id == protocols::ProtocolId::kDtdmaFr ? 2000 : 50);
+    // attempts every granted slot; RAMA one slot per user per frame; VR
+    // only when its (badly mistaken) CSI estimate picks a mode, so its
+    // floor is lowest.
+    const int floor = id == protocols::ProtocolId::kDtdmaFr ? 2000
+                      : id == protocols::ProtocolId::kRama  ? 700
+                                                            : 50;
+    EXPECT_GT(engine->metrics().data_retransmissions, floor);
     EXPECT_EQ(engine->metrics().data_delivered, 0);
   }
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "channel/channel_bank.hpp"
+
 namespace charisma::mac {
 namespace {
 
@@ -13,8 +15,19 @@ ScenarioParams test_params() {
   return p;
 }
 
+/// A first-visit band shell in `bank` with its traffic materialized — what
+/// ProtocolEngine::band_admit builds for a present user.
+MobileUser make_user(common::UserId id, ServiceType service,
+                     const ScenarioParams& params,
+                     channel::ChannelBank& bank) {
+  MobileUser u(id, service, params, bank, /*visit=*/0);
+  u.ensure_traffic(params);
+  return u;
+}
+
 TEST(MobileUser, VoiceConstruction) {
-  MobileUser u(0, ServiceType::kVoice, test_params());
+  channel::ChannelBank bank;
+  const auto u = make_user(0, ServiceType::kVoice, test_params(), bank);
   EXPECT_TRUE(u.is_voice());
   EXPECT_FALSE(u.is_data());
   EXPECT_EQ(u.id(), 0);
@@ -24,15 +37,17 @@ TEST(MobileUser, VoiceConstruction) {
 }
 
 TEST(MobileUser, DataConstruction) {
-  MobileUser u(5, ServiceType::kData, test_params());
+  channel::ChannelBank bank;
+  const auto u = make_user(5, ServiceType::kData, test_params(), bank);
   EXPECT_TRUE(u.is_data());
   EXPECT_DOUBLE_EQ(u.data().config().mean_burst_packets, 100.0);
 }
 
 TEST(MobileUser, IndependentStreamsAcrossUsers) {
   auto params = test_params();
-  MobileUser a(0, ServiceType::kVoice, params);
-  MobileUser b(1, ServiceType::kVoice, params);
+  channel::ChannelBank bank;
+  auto a = make_user(0, ServiceType::kVoice, params, bank);
+  auto b = make_user(1, ServiceType::kVoice, params, bank);
   // Different user ids draw different MAC randomness despite one seed.
   int equal = 0;
   for (int i = 0; i < 50; ++i) {
@@ -43,8 +58,11 @@ TEST(MobileUser, IndependentStreamsAcrossUsers) {
 
 TEST(MobileUser, ReproducibleAcrossConstructions) {
   auto params = test_params();
-  MobileUser a(0, ServiceType::kVoice, params);
-  MobileUser b(0, ServiceType::kVoice, params);
+  // Separate banks: the same user built twice, as two cells would.
+  channel::ChannelBank bank_a;
+  channel::ChannelBank bank_b;
+  auto a = make_user(0, ServiceType::kVoice, params, bank_a);
+  auto b = make_user(0, ServiceType::kVoice, params, bank_b);
   for (int i = 0; i < 50; ++i) {
     EXPECT_DOUBLE_EQ(a.rng().uniform(), b.rng().uniform());
   }
@@ -54,7 +72,8 @@ TEST(MobileUser, ReproducibleAcrossConstructions) {
 }
 
 TEST(MobileUser, BackoffDynamics) {
-  MobileUser u(0, ServiceType::kData, test_params());
+  channel::ChannelBank bank;
+  auto u = make_user(0, ServiceType::kData, test_params(), bank);
   EXPECT_DOUBLE_EQ(u.backoff_scale(), 1.0);
   u.note_contention_collision();
   EXPECT_DOUBLE_EQ(u.backoff_scale(), 0.5);
@@ -65,7 +84,8 @@ TEST(MobileUser, BackoffDynamics) {
 }
 
 TEST(MobileUser, BackoffFloor) {
-  MobileUser u(0, ServiceType::kData, test_params());
+  channel::ChannelBank bank;
+  auto u = make_user(0, ServiceType::kData, test_params(), bank);
   for (int i = 0; i < 20; ++i) u.note_contention_collision();
   EXPECT_DOUBLE_EQ(u.backoff_scale(), 1.0 / 64.0);
 }

@@ -97,7 +97,7 @@ TEST(Dtdma, QueueGrowsOnlyWithQueueMode) {
   DtdmaProtocol no_queue(small_mixed(10, 10, false),
                          DtdmaProtocol::PhyVariant::kFixedRate);
   no_queue.run(2.0, 4.0);
-  EXPECT_EQ(no_queue.queue_size(), 0u);
+  EXPECT_EQ(no_queue.queued_requests(), 0u);
 }
 
 TEST(Dtdma, SlotAccountingConsistent) {
