@@ -100,11 +100,10 @@ void BM_VoiceSourceIdleTick(benchmark::State& state) {
 BENCHMARK(BM_VoiceSourceIdleTick)->Arg(300);
 
 channel::ChannelBank make_bank(int n) {
-  channel::ChannelBank bank;
+  channel::ChannelBank bank(channel::ChannelConfig{});
   bank.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    bank.add_user(channel::ChannelConfig{},
-                  common::RngStream(static_cast<std::uint64_t>(i) + 1));
+    bank.add_user(common::RngStream(static_cast<std::uint64_t>(i) + 1));
   }
   return bank;
 }

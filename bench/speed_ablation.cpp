@@ -23,11 +23,11 @@ namespace {
 using namespace charisma;
 
 double benchmark_bank(int users, int frames, int stride) {
-  channel::ChannelBank bank;
-  bank.reserve(static_cast<std::size_t>(users));
   const channel::ChannelConfig cfg{};
+  channel::ChannelBank bank(cfg);
+  bank.reserve(static_cast<std::size_t>(users));
   for (int i = 0; i < users; ++i) {
-    bank.add_user(cfg, common::RngStream(static_cast<std::uint64_t>(i) + 1));
+    bank.add_user(common::RngStream(static_cast<std::uint64_t>(i) + 1));
   }
   double sink = 0.0;
   const auto start = std::chrono::steady_clock::now();
@@ -49,11 +49,11 @@ double benchmark_bank(int users, int frames, int stride) {
 /// deferred frames until its window comes around and one O(1) jump covers
 /// them all.
 double benchmark_bank_lazy(int users, int frames, double touch_ratio) {
-  channel::ChannelBank bank;
-  bank.reserve(static_cast<std::size_t>(users));
   const channel::ChannelConfig cfg{};
+  channel::ChannelBank bank(cfg);
+  bank.reserve(static_cast<std::size_t>(users));
   for (int i = 0; i < users; ++i) {
-    bank.add_user(cfg, common::RngStream(static_cast<std::uint64_t>(i) + 1));
+    bank.add_user(common::RngStream(static_cast<std::uint64_t>(i) + 1));
   }
   bank.set_lazy(true);
   const int window = std::max(

@@ -1,10 +1,10 @@
 #include "channel/channel_bank.hpp"
 
 #include <cmath>
-#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "channel/fading.hpp"
 #include "common/math.hpp"
@@ -15,53 +15,11 @@ namespace {
 constexpr double kHalfPower = 0.7071067811865476;  // sqrt(1/2)
 
 // Memoizing every distinct stride is safe: protocols use a handful of frame
-// lengths, so the per-group table stays tiny. The cap only guards against a
+// lengths, so the table stays tiny. The cap only guards against a
 // pathological caller advancing by a never-repeating stride sequence.
 constexpr std::size_t kMaxCachedStrides = 64;
-}  // namespace
 
-common::Hertz ChannelConfig::doppler_for_speed(common::Speed speed,
-                                               common::Hertz carrier_hz) {
-  if (speed < 0.0 || carrier_hz <= 0.0) {
-    throw std::invalid_argument("doppler_for_speed: invalid arguments");
-  }
-  return speed * carrier_hz / common::kSpeedOfLight;
-}
-
-void ChannelBank::reserve(std::size_t users) {
-  configs_.reserve(users);
-  rng_.reserve(users);
-  branch_begin_.reserve(users);
-  branch_count_.reserve(users);
-  mean_snr_linear_.reserve(users);
-  mean_snr_db_.reserve(users);
-  interference_db_.reserve(users);
-  interference_linear_.reserve(users);
-  shadow_sigma_db_.reserve(users);
-  inv_branch_count_.reserve(users);
-  dt_.reserve(users);
-  step_.reserve(users);
-  group_.reserve(users);
-  fading_power_.reserve(users);
-  shadow_db_.reserve(users);
-  shadow_linear_.reserve(users);
-  dt_index_.reserve(users);
-  vacant_.reserve(users);
-}
-
-std::size_t ChannelBank::group_for(double fade_rho, double shadow_rho) {
-  for (std::size_t g = 0; g < groups_.size(); ++g) {
-    if (groups_[g].fade_rho == fade_rho &&
-        groups_[g].shadow_rho == shadow_rho) {
-      return g;
-    }
-  }
-  groups_.push_back(ParamGroup{fade_rho, shadow_rho, {}});
-  return groups_.size() - 1;
-}
-
-namespace {
-void validate_channel_config(const ChannelConfig& config) {
+const ChannelConfig& validated(const ChannelConfig& config) {
   if (config.diversity_branches < 1) {
     throw std::invalid_argument("ChannelBank: need >= 1 diversity branch");
   }
@@ -72,97 +30,80 @@ void validate_channel_config(const ChannelConfig& config) {
     throw std::invalid_argument(
         "ChannelBank: shadow_tau and sample_interval must be > 0");
   }
+  return config;
 }
 }  // namespace
 
-std::size_t ChannelBank::add_user(const ChannelConfig& config,
-                                  common::RngStream rng) {
-  validate_channel_config(config);
+common::Hertz ChannelConfig::doppler_for_speed(common::Speed speed,
+                                               common::Hertz carrier_hz) {
+  if (speed < 0.0 || carrier_hz <= 0.0) {
+    throw std::invalid_argument("doppler_for_speed: invalid arguments");
+  }
+  return speed * carrier_hz / common::kSpeedOfLight;
+}
+
+ChannelBank::ChannelBank(const ChannelConfig& config)
+    : config_(validated(config)),
+      branches_(static_cast<std::size_t>(config.diversity_branches)),
+      inv_branches_(1.0 / static_cast<double>(config.diversity_branches)),
+      fade_rho_(ar_rho_for(config.doppler_hz, config.sample_interval)),
+      shadow_rho_(std::exp(-config.sample_interval / config.shadow_tau)) {}
+
+void ChannelBank::reserve(std::size_t users) {
+  rng_.reserve(users);
+  fade_re_.reserve(users * branches_);
+  fade_im_.reserve(users * branches_);
+  mean_snr_linear_.reserve(users);
+  mean_snr_db_.reserve(users);
+  interference_db_.reserve(users);
+  interference_linear_.reserve(users);
+  step_.reserve(users);
+  fading_power_.reserve(users);
+  shadow_db_.reserve(users);
+  shadow_linear_.reserve(users);
+  vacant_.reserve(users);
+}
+
+std::size_t ChannelBank::add_user(common::RngStream rng) {
   // Append an empty row, then seed it exactly as acquire_user re-seeds a
   // recycled one.
-  const std::size_t user = configs_.size();
-  configs_.push_back(config);
+  const std::size_t user = step_.size();
   rng_.push_back(common::SplitMix64(0));
-  branch_begin_.push_back(fade_re_.size());
-  branch_count_.push_back(config.diversity_branches);
-  const auto branches = static_cast<std::size_t>(config.diversity_branches);
-  fade_re_.resize(fade_re_.size() + branches);
-  fade_im_.resize(fade_im_.size() + branches);
+  fade_re_.resize(fade_re_.size() + branches_);
+  fade_im_.resize(fade_im_.size() + branches_);
   mean_snr_linear_.push_back(0.0);
   mean_snr_db_.push_back(0.0);
   interference_db_.push_back(0.0);
   interference_linear_.push_back(0.0);
-  shadow_sigma_db_.push_back(0.0);
-  inv_branch_count_.push_back(0.0);
-  dt_.push_back(0.0);
   step_.push_back(0);
-  group_.push_back(0);
   fading_power_.push_back(0.0);
   shadow_db_.push_back(0.0);
   shadow_linear_.push_back(0.0);
-  dt_index_.push_back(0);
   vacant_.push_back(0);
-  seed_row(user, config, rng);
+  seed_row(user, rng);
   return user;
 }
 
-std::size_t ChannelBank::acquire_user(const ChannelConfig& config,
-                                      common::RngStream rng) {
-  // LIFO scan for a row whose branch storage fits; the ragged fade arrays
-  // cannot be resliced in place, so a mismatched branch count appends.
-  std::size_t pick = free_slots_.size();
-  for (std::size_t i = free_slots_.size(); i-- > 0;) {
-    if (branch_count_[free_slots_[i]] == config.diversity_branches) {
-      pick = i;
-      break;
-    }
-  }
-  if (pick == free_slots_.size()) return add_user(config, rng);
-
-  validate_channel_config(config);
-  const std::size_t user = free_slots_[pick];
-  free_slots_.erase(free_slots_.begin() + static_cast<std::ptrdiff_t>(pick));
-  seed_row(user, config, rng);
+std::size_t ChannelBank::acquire_user(common::RngStream rng) {
+  if (free_slots_.empty()) return add_user(std::move(rng));
+  const std::size_t user = free_slots_.back();
+  free_slots_.pop_back();
+  seed_row(user, rng);
   vacant_[user] = 0;
   --vacant_count_;
   return user;
 }
 
-void ChannelBank::seed_row(std::size_t user, const ChannelConfig& config,
-                           common::RngStream& rng) {
-  const double fade_rho =
-      ar_rho_for(config.doppler_hz, config.sample_interval);
-  const double shadow_rho =
-      std::exp(-config.sample_interval / config.shadow_tau);
-  configs_[user] = config;
-  mean_snr_linear_[user] = common::from_db(config.mean_snr_db);
-  mean_snr_db_[user] = config.mean_snr_db;
+void ChannelBank::seed_row(std::size_t user, common::RngStream& rng) {
+  mean_snr_linear_[user] = common::from_db(config_.mean_snr_db);
+  mean_snr_db_[user] = config_.mean_snr_db;
   interference_db_[user] = 0.0;
   interference_linear_[user] = 1.0;
-  inv_branch_count_[user] =
-      1.0 / static_cast<double>(config.diversity_branches);
-  shadow_sigma_db_[user] = config.shadow_sigma_db;
-  dt_[user] = config.sample_interval;
-  group_[user] = group_for(fade_rho, shadow_rho);
-
-  // Register the sample interval with the lazy clock: one floor() per
-  // distinct dt per set_time, one table slot per user.
-  std::size_t di = 0;
-  while (di < distinct_dts_.size() &&
-         distinct_dts_[di] != config.sample_interval) {
-    ++di;
-  }
-  if (di == distinct_dts_.size()) {
-    distinct_dts_.push_back(config.sample_interval);
-    dt_targets_.push_back(static_cast<std::int64_t>(
-        std::floor(bank_time_ / config.sample_interval + 1e-9)));
-  }
-  dt_index_[user] = static_cast<std::uint32_t>(di);
   // A row seeded mid-run starts stationary *now* — at the clock's current
-  // step for its dt — not at step 0 (which would turn its first touch into
-  // one giant catch-up jump). At construction time both are step 0, so the
+  // step — not at step 0 (which would turn its first touch into one giant
+  // catch-up jump). At construction time both are step 0, so the
   // historical sequences are unchanged.
-  step_[user] = dt_targets_[di];
+  step_[user] = target_step_;
 
   // The user's RngStream seeds its compact per-user innovation engine.
   common::SplitMix64 fast(rng.engine()());
@@ -170,18 +111,18 @@ void ChannelBank::seed_row(std::size_t user, const ChannelConfig& config,
 
   // Stationary start: per branch an I then a Q component, then the
   // shadowing value.
-  const std::size_t begin = branch_begin_[user];
+  const std::size_t begin = user * branches_;
   double power = 0.0;
-  for (int b = 0; b < config.diversity_branches; ++b) {
+  for (std::size_t b = begin; b < begin + branches_; ++b) {
     const double re = kHalfPower * fast.normal(zig);
     const double im = kHalfPower * fast.normal(zig);
-    fade_re_[begin + static_cast<std::size_t>(b)] = re;
-    fade_im_[begin + static_cast<std::size_t>(b)] = im;
+    fade_re_[b] = re;
+    fade_im_[b] = im;
     power += re * re + im * im;
   }
   fading_power_[user] =
-      power / static_cast<double>(config.diversity_branches);
-  const double shadow = config.shadow_sigma_db * fast.normal(zig);
+      power / static_cast<double>(config_.diversity_branches);
+  const double shadow = config_.shadow_sigma_db * fast.normal(zig);
   shadow_db_[user] = shadow;
   shadow_linear_[user] = common::from_db(shadow);
   rng_[user] = fast;
@@ -189,7 +130,7 @@ void ChannelBank::seed_row(std::size_t user, const ChannelConfig& config,
 }
 
 void ChannelBank::release_user(std::size_t slot) {
-  if (slot >= configs_.size()) {
+  if (slot >= step_.size()) {
     throw std::out_of_range("ChannelBank::release_user: bad slot");
   }
   if (vacant_[slot]) {
@@ -202,7 +143,7 @@ void ChannelBank::release_user(std::size_t slot) {
 }
 
 void ChannelBank::refresh_active() const {
-  const std::size_t n = configs_.size();
+  const std::size_t n = step_.size();
   if (!active_dirty_ && scratch_ids_.size() == n - vacant_count_) return;
   scratch_ids_.clear();
   scratch_ids_.reserve(n - vacant_count_);
@@ -217,64 +158,27 @@ void ChannelBank::refresh_active() const {
   active_dirty_ = false;
 }
 
-ChannelBank::JumpCoeffs ChannelBank::compute_coeffs(double fade_rho,
-                                                    double shadow_rho,
-                                                    std::int64_t k) {
-  const double fade_rho_k = std::pow(fade_rho, static_cast<double>(k));
-  const double shadow_rho_k = std::pow(shadow_rho, static_cast<double>(k));
+const ChannelBank::JumpCoeffs& ChannelBank::coeffs(std::int64_t k) {
+  for (const auto& entry : strides_) {
+    if (entry.first == k) return entry.second;
+  }
+  const double fade_rho_k = std::pow(fade_rho_, static_cast<double>(k));
+  const double shadow_rho_k = std::pow(shadow_rho_, static_cast<double>(k));
   JumpCoeffs c;
   c.fade_rho_k = fade_rho_k;
   c.fade_component_scale = std::sqrt((1.0 - fade_rho_k * fade_rho_k) * 0.5);
   c.shadow_rho_k = shadow_rho_k;
   c.shadow_unit_scale = std::sqrt(1.0 - shadow_rho_k * shadow_rho_k);
-  return c;
-}
-
-ChannelBank::JumpCoeffs ChannelBank::shared_coeffs(double fade_rho,
-                                                   double shadow_rho,
-                                                   std::int64_t k) {
-  struct Entry {
-    double fade_rho;
-    double shadow_rho;
-    std::int64_t k;
-    JumpCoeffs c;
-  };
-  // The cached value equals compute_coeffs bit for bit (it *is* a stored
-  // compute_coeffs result), so hitting or missing this cache can never
-  // perturb a simulation — only skip a pow(). The cap mirrors the local
-  // kMaxCachedStrides guard against never-repeating stride sequences.
-  static std::mutex mutex;
-  static std::vector<Entry> cache;
-  std::lock_guard<std::mutex> lock(mutex);
-  for (const auto& e : cache) {
-    if (e.fade_rho == fade_rho && e.shadow_rho == shadow_rho && e.k == k) {
-      return e.c;
-    }
-  }
-  const JumpCoeffs c = compute_coeffs(fade_rho, shadow_rho, k);
-  if (cache.size() >= 64 * kMaxCachedStrides) cache.clear();
-  cache.push_back(Entry{fade_rho, shadow_rho, k, c});
-  return c;
-}
-
-const ChannelBank::JumpCoeffs& ChannelBank::coeffs(std::size_t group,
-                                                   std::int64_t k) {
-  auto& strides = groups_[group].strides;
-  for (const auto& entry : strides) {
-    if (entry.first == k) return entry.second;
-  }
-  const JumpCoeffs c =
-      shared_coeffs(groups_[group].fade_rho, groups_[group].shadow_rho, k);
-  if (strides.size() >= kMaxCachedStrides) strides.clear();
-  strides.emplace_back(k, c);
-  return strides.back().second;
+  if (strides_.size() >= kMaxCachedStrides) strides_.clear();
+  strides_.emplace_back(k, c);
+  return strides_.back().second;
 }
 
 void ChannelBank::jump_user(std::size_t user, const JumpCoeffs& c) {
   auto& rng = rng_[user];
   const auto& zig = common::detail::ziggurat_tables();
-  const std::size_t begin = branch_begin_[user];
-  const std::size_t end = begin + static_cast<std::size_t>(branch_count_[user]);
+  const std::size_t begin = user * branches_;
+  const std::size_t end = begin + branches_;
   double* const re = fade_re_.data();
   double* const im = fade_im_.data();
   double power = 0.0;
@@ -287,9 +191,9 @@ void ChannelBank::jump_user(std::size_t user, const JumpCoeffs& c) {
     im[b] = i;
     power += r * r + i * i;
   }
-  fading_power_[user] = power * inv_branch_count_[user];
+  fading_power_[user] = power * inv_branches_;
   shadow_db_[user] = c.shadow_rho_k * shadow_db_[user] +
-                     shadow_sigma_db_[user] * c.shadow_unit_scale *
+                     config_.shadow_sigma_db * c.shadow_unit_scale *
                          rng.normal(zig);
   shadow_linear_[user] = -1.0;  // recomputed lazily on first SNR read
 }
@@ -306,38 +210,33 @@ void ChannelBank::advance_user_to(std::size_t user, common::Time t) {
   // boundary rule as ever: the epsilon absorbs accumulated floating-point
   // error when t is built by summing frame durations that are not exact
   // binary fractions.
-  const auto target =
-      static_cast<std::int64_t>(std::floor(t / dt_[user] + 1e-9));
+  const auto target = static_cast<std::int64_t>(
+      std::floor(t / config_.sample_interval + 1e-9));
   if (target < step_[user]) {
     throw std::logic_error("ChannelBank::advance_user_to: time went backwards");
   }
   const std::int64_t k = target - step_[user];
   if (k == 0) return;
-  jump_user(user, coeffs(group_[user], k));
+  jump_user(user, coeffs(k));
   step_[user] = target;
   ++jump_events_;
   jump_frames_ += k;
 }
 
 void ChannelBank::set_time(common::Time t) {
-  // O(1) in the population: one floor() per distinct sample interval.
-  // Identical boundary expression to the historical advance_all_to loop, so
-  // eager advance_all_to (= set_time + materialize_all) lands on the same
-  // target steps bit for bit.
-  for (std::size_t i = 0; i < distinct_dts_.size(); ++i) {
-    const auto target = static_cast<std::int64_t>(
-        std::floor(t / distinct_dts_[i] + 1e-9));
-    if (target < dt_targets_[i]) {
-      throw std::logic_error("ChannelBank::set_time: time went backwards");
-    }
-    dt_targets_[i] = target;
+  // O(1) in the population: one floor(). Identical boundary expression to
+  // the historical advance_all_to loop, so eager advance_all_to (= set_time
+  // + materialize_all) lands on the same target steps bit for bit.
+  const auto target = static_cast<std::int64_t>(
+      std::floor(t / config_.sample_interval + 1e-9));
+  if (target < target_step_) {
+    throw std::logic_error("ChannelBank::set_time: time went backwards");
   }
-  bank_time_ = t;
+  target_step_ = target;
 }
 
 void ChannelBank::materialize_user(std::size_t user) {
-  const std::int64_t target = dt_targets_[dt_index_[user]];
-  const std::int64_t k = target - step_[user];
+  const std::int64_t k = target_step_ - step_[user];
   if (k <= 0) {
     if (k < 0) {
       throw std::logic_error(
@@ -345,8 +244,8 @@ void ChannelBank::materialize_user(std::size_t user) {
     }
     return;
   }
-  jump_user(user, coeffs(group_[user], k));
-  step_[user] = target;
+  jump_user(user, coeffs(k));
+  step_[user] = target_step_;
   ++jump_events_;
   jump_frames_ += k;
 }
@@ -356,24 +255,21 @@ void ChannelBank::materialize_batch(const Index* ids, std::size_t n,
                                     const char* caller) {
   // The memoized jump loop (bit-identical to the historical advance_all_to
   // body when ids is the full population). In the common case every user
-  // shares one sample interval and one parameter group, so the coefficient
-  // lookup is hoisted out of the loop by the memo of the previous
-  // iteration.
-  std::size_t last_group = static_cast<std::size_t>(-1);
+  // sits at the same step, so the coefficient lookup is hoisted out of the
+  // loop by the memo of the previous iteration.
+  const std::int64_t target = target_step_;
   std::int64_t last_k = -1;
   const JumpCoeffs* c = nullptr;
   for (std::size_t i = 0; i < n; ++i) {
     const auto user = static_cast<std::size_t>(ids[i]);
-    const std::int64_t target = dt_targets_[dt_index_[user]];
     if (target < step_[user]) {
       throw std::logic_error(std::string(caller) + ": time went backwards");
     }
     const std::int64_t k = target - step_[user];
     if (k == 0) continue;
-    if (c == nullptr || group_[user] != last_group || k != last_k) {
-      last_group = group_[user];
+    if (k != last_k) {
       last_k = k;
-      c = &coeffs(last_group, k);
+      c = &coeffs(k);
     }
     jump_user(user, *c);
     step_[user] = target;
@@ -393,7 +289,7 @@ void ChannelBank::materialize_active(const char* caller) {
 void ChannelBank::materialize_slots(std::span<const common::UserId> slots,
                                     const char* caller) {
   for (const common::UserId slot : slots) {
-    if (slot < 0 || static_cast<std::size_t>(slot) >= configs_.size()) {
+    if (slot < 0 || static_cast<std::size_t>(slot) >= step_.size()) {
       throw std::out_of_range(std::string(caller) + ": bad slot " +
                               std::to_string(slot));
     }
@@ -425,16 +321,15 @@ void ChannelBank::advance_all_to(common::Time t) {
 }
 
 void ChannelBank::set_mean_snr_db(std::size_t user, double db) {
-  if (user >= configs_.size()) {
+  if (user >= step_.size()) {
     throw std::out_of_range("ChannelBank::set_mean_snr_db: bad user");
   }
-  configs_[user].mean_snr_db = db;
   mean_snr_db_[user] = db;
   mean_snr_linear_[user] = common::from_db(db);
 }
 
 void ChannelBank::set_mean_snr_db_all(std::span<const double> db) {
-  const std::size_t n = configs_.size();
+  const std::size_t n = step_.size();
   if (db.size() < n) {
     throw std::invalid_argument("ChannelBank::set_mean_snr_db_all: short span");
   }
@@ -443,18 +338,16 @@ void ChannelBank::set_mean_snr_db_all(std::span<const double> db) {
     // keep whatever they held (re-seeded on acquire, never read).
     refresh_active();
     for (const std::uint32_t u : scratch_ids_) {
-      configs_[u].mean_snr_db = db[u];
       mean_snr_db_[u] = db[u];
       mean_snr_linear_[u] = common::from_db(db[u]);
     }
     return;
   }
   for (std::size_t u = 0; u < n; ++u) {
-    configs_[u].mean_snr_db = db[u];
     mean_snr_db_[u] = db[u];
   }
-  // Separate pass so the pow() loop streams the two flat arrays without the
-  // ChannelConfig stride (and vectorizes under -fno-math-errno).
+  // Separate pass so the pow() loop streams two flat arrays (and vectorizes
+  // under -fno-math-errno).
   const double* src = db.data();
   double* dst = mean_snr_linear_.data();
   for (std::size_t u = 0; u < n; ++u) {
@@ -463,7 +356,7 @@ void ChannelBank::set_mean_snr_db_all(std::span<const double> db) {
 }
 
 void ChannelBank::set_interference_db_all(std::span<const double> db) {
-  const std::size_t n = configs_.size();
+  const std::size_t n = step_.size();
   if (db.size() < n) {
     throw std::invalid_argument(
         "ChannelBank::set_interference_db_all: short span");
@@ -493,7 +386,7 @@ double ChannelBank::snr_db(std::size_t user) const {
 }
 
 void ChannelBank::snr_db_all(std::span<double> out) const {
-  const std::size_t n = configs_.size();
+  const std::size_t n = step_.size();
   if (out.size() < n) {
     throw std::invalid_argument("ChannelBank::snr_db_all: short span");
   }

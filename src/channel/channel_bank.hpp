@@ -1,9 +1,15 @@
 // Batched structure-of-arrays channel evolution — the simulator's hottest
 // loop, rebuilt for population scale.
 //
-// Every user's diversity-branch I/Q fading states live in contiguous
-// parallel arrays (no per-user heap objects, no std::complex indirection),
-// and one pass advances all users to a frame boundary. The per-sample AR(1)
+// A bank holds one radio configuration (ChannelConfig: Doppler, diversity
+// order, shadowing process, sample interval) shared by all of its rows —
+// the paper's common platform gives every user of a cell the same radio
+// environment, and only the link budget differs per user. A row therefore
+// keeps just what really differs: its mean SNR (dB and linear), its
+// interference penalty, its step, its diversity-branch I/Q state, its
+// shadowing value and its private innovation engine. Every row's branch
+// states live in contiguous parallel arrays (row u at [u*B, u*B + B)), and
+// one pass advances all rows to a frame boundary. The per-sample AR(1)
 // walk is replaced by its closed-form k-step jump:
 //
 //     h[n+k] = rho^k * h[n] + sqrt(1 - rho^(2k)) * w,   w ~ CN(0, 1)
@@ -11,20 +17,22 @@
 // (exact, because the AR(1) recursion composes into the same Gauss-Markov
 // form at any stride), and the matching Ornstein–Uhlenbeck jump for the
 // log-normal shadowing dB process. Variable-length frames (RMAV/DRMA) and
-// long idle gaps therefore cost O(1) per user instead of O(k); the rho^k /
-// sqrt(1-rho^2k) coefficients are memoized per (parameter-group, stride),
-// so the common frame strides hit a precomputed table.
+// long idle gaps therefore cost O(1) per user instead of O(k); the bank
+// memoizes the rho^k / sqrt(1-rho^2k) coefficients per stride, so the
+// common frame strides hit a precomputed table.
 //
 // Each user keeps its own RngStream (seeded from the scenario seed and user
 // id), so results are independent of population size and of whether a user
-// is advanced individually or in the batched pass.
+// is advanced individually or in the batched pass. A population with
+// differing radio environments uses one bank per environment, as a world
+// keeps one bank per cell.
 //
 // Lazy mode (set_lazy(true), opt-in): the bank separates the frame clock
 // from materialization. set_time(t) moves the clock in O(1); per-user state
 // is materialized on demand — by the frame's declared touch set
 // (advance_users_to / materialize_users) or transparently by the first read
 // of an untouched user — via the same closed-form jump, so a user idle for
-// k frames pays one jump (two table lookups) instead of k. Because every
+// k frames pays one jump (one table lookup) instead of k. Because every
 // user owns a private innovation stream, a lazy bank's realization is
 // independent of *who* triggers materialization and of the order users
 // materialize in; it is NOT samplewise identical to the eager schedule (a
@@ -43,7 +51,7 @@
 
 namespace charisma::channel {
 
-/// Static description of the radio environment shared by all users.
+/// Static description of the radio environment shared by all rows of a bank.
 struct ChannelConfig {
   double mean_snr_db = 16.0;      ///< link-budget mean SNR at the receiver
   double shadow_sigma_db = 3.0;   ///< log-normal shadowing std-dev
@@ -58,34 +66,37 @@ struct ChannelConfig {
                                          common::Hertz carrier_hz);
 };
 
-/// SoA bank of per-user fading + shadowing processes stepped lazily on each
-/// user's sample grid. Rows are either appended once (add_user) or cycled
-/// through the acquire/release free-list (sparse presence); either way the
-/// caller addresses a row by the returned slot index and UserChannel wraps
-/// one slot as a per-user view.
+/// SoA bank of per-user fading + shadowing processes under one radio
+/// configuration, stepped on the configuration's sample grid. Rows are
+/// either appended once (add_user) or cycled through the acquire/release
+/// free-list (sparse presence); either way the caller addresses a row by
+/// the returned slot index and UserChannel wraps one slot as a per-user
+/// view.
 class ChannelBank {
  public:
-  ChannelBank() = default;
+  /// Validates `config` (>= 1 diversity branch, shadow_sigma_db >= 0,
+  /// positive Doppler, shadow_tau and sample_interval); throws
+  /// std::invalid_argument otherwise.
+  explicit ChannelBank(const ChannelConfig& config);
 
   void reserve(std::size_t users);
 
-  /// Appends a user in the stationary channel state and returns its index.
-  /// The stream seeds this user's private innovation generator, so a
-  /// user's realization depends only on its own stream — not on the
-  /// population around it.
-  std::size_t add_user(const ChannelConfig& config, common::RngStream rng);
+  /// Appends a user in the stationary channel state at the configured mean
+  /// SNR and returns its index. The stream seeds this user's private
+  /// innovation generator, so a user's realization depends only on its own
+  /// stream — not on the population around it.
+  std::size_t add_user(common::RngStream rng);
 
-  /// add_user with slot recycling: reuses a released row whose branch
-  /// storage fits `config` (LIFO over the free-list, so serial and
-  /// parallel worlds that release in the same coordinator order reuse the
-  /// same slots), else appends. The reused row is re-seeded from `rng`
-  /// exactly as add_user would seed a fresh one — same stationary-start
-  /// draw order — and starts at the bank clock's current step for its
-  /// sample interval, so what a row materializes depends only on the
-  /// stream it was given and on when it was acquired, never on which slot
-  /// the free-list happened to hand back. With an empty free-list this is
-  /// add_user bit for bit.
-  std::size_t acquire_user(const ChannelConfig& config, common::RngStream rng);
+  /// add_user with slot recycling: reuses the most recently released row
+  /// (LIFO over the free-list, so serial and parallel worlds that release
+  /// in the same coordinator order reuse the same slots), else appends.
+  /// The reused row is re-seeded from `rng` exactly as add_user would seed
+  /// a fresh one — same stationary-start draw order, configured mean, no
+  /// interference — and starts at the bank clock's current step, so what a
+  /// row materializes depends only on the stream it was given and on when
+  /// it was acquired, never on which slot the free-list happened to hand
+  /// back. With an empty free-list this is add_user bit for bit.
+  std::size_t acquire_user(common::RngStream rng);
 
   /// Returns `slot` to the free-list. The row's state stays in place but
   /// is excluded from every whole-bank operation (materialize_all,
@@ -94,12 +105,12 @@ class ChannelBank {
   void release_user(std::size_t slot);
 
   /// Slots currently backing a live user (size() minus the free-list).
-  std::size_t active_count() const { return configs_.size() - vacant_count_; }
+  std::size_t active_count() const { return step_.size() - vacant_count_; }
 
   /// True when `slot` is on the free-list.
   bool vacant(std::size_t slot) const { return vacant_[slot] != 0; }
 
-  std::size_t size() const { return configs_.size(); }
+  std::size_t size() const { return step_.size(); }
 
   /// Advances every user to (the grid point at or before) `t` in one pass.
   /// Equivalent to set_time(t) + materialize_all(); in the default eager
@@ -180,9 +191,7 @@ class ChannelBank {
   }
 
   /// Current link-budget mean SNR (dB) of `user`.
-  double mean_snr_db(std::size_t user) const {
-    return configs_[user].mean_snr_db;
-  }
+  double mean_snr_db(std::size_t user) const { return mean_snr_db_[user]; }
 
   /// Instantaneous effective SNR (linear) of `user` at its current state,
   /// after the interference penalty (SINR when an interference plane is
@@ -220,25 +229,24 @@ class ChannelBank {
   /// deferred clock moves + one materialization equals one k-jump bitwise,
   /// RNG cursor included). Branch reads do NOT materialize lazily.
   double fade_re(std::size_t user, int branch) const {
-    return fade_re_[branch_begin_[user] + static_cast<std::size_t>(branch)];
+    return fade_re_[user * branches_ + static_cast<std::size_t>(branch)];
   }
   double fade_im(std::size_t user, int branch) const {
-    return fade_im_[branch_begin_[user] + static_cast<std::size_t>(branch)];
+    return fade_im_[user * branches_ + static_cast<std::size_t>(branch)];
   }
   std::uint64_t rng_cursor(std::size_t user) const {
     return rng_[user].raw_state();
   }
 
-  const ChannelConfig& config(std::size_t user) const {
-    return configs_[user];
-  }
+  /// The radio configuration every row shares.
+  const ChannelConfig& config() const { return config_; }
   std::int64_t current_step(std::size_t user) const { return step_[user]; }
 
  private:
-  /// Jump coefficients for one parameter group at stride k. The innovation
-  /// scales are for a *unit-variance* target: the fading per-component
-  /// scale folds in the CN(0,1) half-power; the shadowing scale is
-  /// multiplied by sigma_db at the use site.
+  /// Jump coefficients at stride k. The innovation scales are for a
+  /// *unit-variance* target: the fading per-component scale folds in the
+  /// CN(0,1) half-power; the shadowing scale is multiplied by sigma_db at
+  /// the use site.
   struct JumpCoeffs {
     double fade_rho_k;
     double fade_component_scale;   // sqrt((1 - rho^2k) / 2)
@@ -246,33 +254,15 @@ class ChannelBank {
     double shadow_unit_scale;      // sqrt(1 - rho_s^2k)
   };
 
-  /// Fading/shadowing correlation parameters shared by a set of users;
-  /// stride coefficients are memoized here so repeated frame strides cost
-  /// two table lookups instead of two pow() calls per user.
-  struct ParamGroup {
-    double fade_rho;
-    double shadow_rho;
-    std::vector<std::pair<std::int64_t, JumpCoeffs>> strides;
-  };
-
-  std::size_t group_for(double fade_rho, double shadow_rho);
-  const JumpCoeffs& coeffs(std::size_t group, std::int64_t k);
-  static JumpCoeffs compute_coeffs(double fade_rho, double shadow_rho,
-                                   std::int64_t k);
-  /// Process-wide (fade_rho, shadow_rho, k) -> JumpCoeffs memo shared by
-  /// every bank, so standalone UserChannels and the per-cell banks of a
-  /// world reuse one pow() evaluation per distinct stride instead of
-  /// rebuilding tables per instance. Mutex-guarded; only consulted on a
-  /// local-table miss, so the hot path stays lock-free.
-  static JumpCoeffs shared_coeffs(double fade_rho, double shadow_rho,
-                                  std::int64_t k);
+  /// Memoized stride coefficients: repeated frame strides cost one table
+  /// lookup instead of two pow() calls per user.
+  const JumpCoeffs& coeffs(std::int64_t k);
   void jump_user(std::size_t user, const JumpCoeffs& c);
 
-  /// Writes row `user`'s config, lazy-clock registration and stationary
-  /// I/Q + shadowing start drawn from `rng` (the shared seeding of add_user
-  /// and acquire_user). The row's branch storage must already fit.
-  void seed_row(std::size_t user, const ChannelConfig& config,
-                common::RngStream& rng);
+  /// Writes row `user`'s configured mean, zero interference, the bank
+  /// clock's step and a stationary I/Q + shadowing start drawn from `rng`
+  /// (the shared seeding of add_user and acquire_user).
+  void seed_row(std::size_t user, common::RngStream& rng);
 
   /// Materializes one user up to the bank clock (lazy read path).
   void materialize_user(std::size_t user);
@@ -281,13 +271,13 @@ class ChannelBank {
   /// implementation detail (banks are externally synchronized per cell, so
   /// no concurrent-read hazard is introduced).
   void ensure_user(std::size_t user) const {
-    if (step_[user] != dt_targets_[dt_index_[user]]) {
+    if (step_[user] != target_step_) {
       const_cast<ChannelBank*>(this)->materialize_user(user);
     }
   }
 
   /// Jumps each of `ids` (bank slots) to the bank clock, reusing the
-  /// previous iteration's coefficients while (group, stride) repeats.
+  /// previous iteration's coefficients while the stride repeats.
   /// `caller` names the public entry point in error messages.
   template <typename Index>
   void materialize_batch(const Index* ids, std::size_t n, const char* caller);
@@ -307,31 +297,31 @@ class ChannelBank {
     return linear;
   }
 
-  std::vector<ChannelConfig> configs_;
+  ChannelConfig config_;
+  std::size_t branches_;        // config_.diversity_branches
+  double inv_branches_;         // 1 / branches_
+  double fade_rho_;             // per-step AR(1) fading correlation
+  double shadow_rho_;           // per-step shadowing correlation
+  std::vector<std::pair<std::int64_t, JumpCoeffs>> strides_;
+
   // 8-byte per-user engines: with mt19937_64's ~2.5 KB state the RNG alone
   // would stream tens of MB through the cache per frame at 10k+ users.
   std::vector<common::SplitMix64> rng_;
 
   // ---- SoA state ----
   // Branch I/Q states for all users, contiguous; user u owns
-  // [branch_begin_[u], branch_begin_[u] + branch_count_[u]).
+  // [u * branches_, (u + 1) * branches_).
   std::vector<double> fade_re_;
   std::vector<double> fade_im_;
-  std::vector<std::size_t> branch_begin_;
-  std::vector<int> branch_count_;
 
   std::vector<double> mean_snr_linear_;
-  std::vector<double> mean_snr_db_;  // flat copy of configs_[u].mean_snr_db
+  std::vector<double> mean_snr_db_;
   // Interference penalty in both domains (dB subtracted by snr_db_all,
   // linear factor 10^(-dB/10) multiplied by snr_linear); 0 dB / 1.0 until
   // set_interference_db_all is called.
   std::vector<double> interference_db_;
   std::vector<double> interference_linear_;
-  std::vector<double> shadow_sigma_db_;
-  std::vector<double> inv_branch_count_;
-  std::vector<common::Time> dt_;
   std::vector<std::int64_t> step_;
-  std::vector<std::size_t> group_;
 
   // Cached outputs of the last advance (what the MAC layer actually reads);
   // shadow_linear_ < 0 marks a stale entry recomputed on first read.
@@ -339,18 +329,11 @@ class ChannelBank {
   std::vector<double> shadow_db_;
   mutable std::vector<double> shadow_linear_;
 
-  std::vector<ParamGroup> groups_;
-
   // ---- Lazy clock ----
-  // The frame boundary as a per-distinct-dt target step: dt_index_[u] is a
-  // small index into distinct_dts_/dt_targets_, so set_time computes one
-  // floor() per distinct sample interval (normally exactly one) and
-  // ensure_user is two array loads + a compare.
+  // The frame boundary as a step on the bank's sample grid: set_time
+  // computes one floor() and ensure_user is one array load + a compare.
   bool lazy_ = false;
-  common::Time bank_time_ = 0.0;
-  std::vector<common::Time> distinct_dts_;
-  std::vector<std::int64_t> dt_targets_;
-  std::vector<std::uint32_t> dt_index_;
+  std::int64_t target_step_ = 0;
   // Ascending active-slot list fed to the batch loop and the bulk
   // loops. With no vacancies it is the iota over all slots (the historical
   // materialize_all batch, bit for bit); rebuilt lazily after any

@@ -3,12 +3,9 @@
 namespace charisma::channel {
 
 UserChannel::UserChannel(const ChannelConfig& config, common::RngStream rng)
-    : owned_(std::make_unique<ChannelBank>()), bank_(owned_.get()) {
-  // The private bank's jump coefficients come from the process-wide
-  // shared_coeffs memo, so standalone channels do not each re-derive the
-  // rho^k tables their strides need.
-  index_ = bank_->add_user(config, std::move(rng));
-}
+    : owned_(std::make_unique<ChannelBank>(config)),
+      bank_(owned_.get()),
+      index_(bank_->add_user(std::move(rng))) {}
 
 UserChannel::UserChannel(ChannelBank& bank, std::size_t index)
     : bank_(&bank), index_(index) {}

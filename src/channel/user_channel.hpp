@@ -4,15 +4,12 @@
 // users fade independently — the property CHARISMA's selection diversity
 // exploits (paper §5.3.2).
 //
-// UserChannel is a thin per-user view over a ChannelBank (the SoA batched
-// hot path). Inside a ProtocolEngine all users share the engine's bank and
-// are advanced together; constructed standalone (tests, traces, handoff
-// studies) it owns a private single-user bank, so the API and statistics
-// are identical either way. Standalone instances are cheap to create in
-// bulk: the rho^k jump-coefficient tables are memoized process-wide
-// (ChannelBank::shared_coeffs), so a thousand single-user banks advancing
-// on the same grid share one pow() evaluation per distinct stride instead
-// of rebuilding the table each.
+// UserChannel is a thin per-user view over one ChannelBank row (the SoA
+// batched hot path). Inside a ProtocolEngine all users share the engine's
+// bank — one radio configuration, per-row means — and are advanced
+// together; constructed standalone (tests, traces, handoff studies) it
+// owns a private single-row bank under its own configuration, so the API
+// and statistics are identical either way.
 #pragma once
 
 #include <cstddef>
@@ -52,8 +49,6 @@ class UserChannel {
   /// Components, exposed for tracing and tests.
   double fading_power() const { return bank_->fading_power(index_); }
   double shadow_db() const { return bank_->shadow_db(index_); }
-
-  const ChannelConfig& config() const { return bank_->config(index_); }
 
   /// The bank slot this view addresses — the engine's storage index for
   /// band-resident users (slot == user id only in a full, never-released

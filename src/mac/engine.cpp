@@ -15,6 +15,13 @@ constexpr std::uint64_t kBaseStationStream = 0x4000'0000ULL;
 ProtocolEngine::ProtocolEngine(const ScenarioParams& params)
     : params_(params),
       geom_(params.geometry),
+      // The channel grid step is the frame cadence, so per-frame draws line
+      // up with the coherence model.
+      bank_([&params] {
+        channel::ChannelConfig cfg = params.channel;
+        cfg.sample_interval = params.geometry.frame_duration;
+        return cfg;
+      }()),
       fixed_phy_(params.fixed_phy_reference_db, params.phy.target_ber,
                  params.geometry.packet_bits),
       adaptive_phy_(phy::ModeTable::abicm6(params.phy.target_ber),
@@ -35,9 +42,6 @@ ProtocolEngine::ProtocolEngine(const ScenarioParams& params)
     load_estimator_.emplace(params.barring.ewma_alpha);
     barring_.emplace(params.barring);
   }
-  // The channel grid step must match the frame cadence so per-frame draws
-  // line up with the coherence model.
-  params_.channel.sample_interval = geom_.frame_duration;
   // Opt-in demand-driven materialization: advance_world moves the bank
   // clock in O(1) and the frame's touch sets / reads materialize users.
   bank_.set_lazy(params_.lazy_channel);

@@ -18,29 +18,25 @@ std::uint64_t visit_seed(std::uint64_t seed, std::uint32_t visit) {
   return common::derive_seed(seed, kRebirthStream + visit);
 }
 
-// The user's radio environment: the shared cell configuration plus this
-// device's fixed link-budget offset (position in the cell). The offset is
-// a static property of the user, so it always derives from the *plain*
-// scenario seed — a band re-entry must not teleport the device.
-channel::ChannelConfig user_channel_config(common::UserId id,
-                                           const ScenarioParams& params) {
-  channel::ChannelConfig cfg = params.channel;
-  if (params.snr_spread_db > 0.0) {
-    common::RngStream rng(params.seed,
-                          kLinkBudgetStream + static_cast<std::uint64_t>(id));
-    cfg.mean_snr_db += rng.normal(0.0, params.snr_spread_db);
-  }
-  return cfg;
-}
-
+// The user's channel: a row of the cell's bank (the shared radio
+// configuration) re-anchored at this device's fixed link-budget offset
+// (position in the cell). The offset is a static property of the user, so
+// it always derives from the *plain* scenario seed — a band re-entry must
+// not teleport the device — and from its own stream, so drawing it moves
+// no channel draw.
 channel::UserChannel make_channel(common::UserId id,
                                   const ScenarioParams& params,
                                   std::uint64_t seed,
                                   channel::ChannelBank& bank) {
-  common::RngStream rng(seed,
-                        kChannelStream + static_cast<std::uint64_t>(id));
-  return channel::UserChannel(
-      bank, bank.acquire_user(user_channel_config(id, params), std::move(rng)));
+  const std::size_t slot = bank.acquire_user(common::RngStream(
+      seed, kChannelStream + static_cast<std::uint64_t>(id)));
+  if (params.snr_spread_db > 0.0) {
+    common::RngStream rng(params.seed,
+                          kLinkBudgetStream + static_cast<std::uint64_t>(id));
+    bank.set_mean_snr_db(
+        slot, bank.mean_snr_db(slot) + rng.normal(0.0, params.snr_spread_db));
+  }
+  return channel::UserChannel(bank, slot);
 }
 }  // namespace
 

@@ -31,10 +31,10 @@ TEST(ChannelBank, MatchesStandaloneUserChannel) {
   // Per-user streams: a user advanced inside a populated bank must see
   // exactly the channel it would see standalone — results are independent
   // of population size.
-  ChannelBank bank;
+  ChannelBank bank(test_config());
   bank.reserve(3);
   for (std::uint64_t s = 1; s <= 3; ++s) {
-    bank.add_user(test_config(), common::RngStream(s));
+    bank.add_user(common::RngStream(s));
   }
   UserChannel solo(test_config(), common::RngStream(2));
   for (int i = 1; i <= 200; ++i) {
@@ -48,10 +48,10 @@ TEST(ChannelBank, MatchesStandaloneUserChannel) {
 }
 
 TEST(ChannelBank, BatchedAdvanceEqualsPerUserAdvance) {
-  ChannelBank batched, individual;
+  ChannelBank batched(test_config()), individual(test_config());
   for (std::uint64_t s = 10; s < 18; ++s) {
-    batched.add_user(test_config(), common::RngStream(s));
-    individual.add_user(test_config(), common::RngStream(s));
+    batched.add_user(common::RngStream(s));
+    individual.add_user(common::RngStream(s));
   }
   for (int i = 1; i <= 100; ++i) {
     const double t = static_cast<double>(i) * 2.5e-3;
@@ -73,9 +73,8 @@ TEST(ChannelBank, StationaryMomentsUnderStridedAdvance) {
   const auto cfg = test_config();
   const double rho = ar_rho_for(cfg.doppler_hz, cfg.sample_interval);
   for (int stride : {1, 7, 64}) {
-    ChannelBank bank;
-    bank.add_user(cfg,
-                  common::RngStream(100 + static_cast<std::uint64_t>(stride)));
+    ChannelBank bank(cfg);
+    bank.add_user(common::RngStream(100 + static_cast<std::uint64_t>(stride)));
     double sum = 0.0, corr = 0.0;
     const int n = 60000;
     std::vector<double> re(4), im(4);
@@ -102,8 +101,8 @@ TEST(ChannelBank, GammaMarginalMomentsAndTailPerDiversityOrder) {
   for (int branches : {1, 2, 4}) {
     auto cfg = test_config();
     cfg.diversity_branches = branches;
-    ChannelBank bank;
-    bank.add_user(cfg, common::RngStream(
+    ChannelBank bank(cfg);
+    bank.add_user(common::RngStream(
                            200 + static_cast<std::uint64_t>(branches)));
     double sum = 0.0, sum2 = 0.0;
     int above = 0;
@@ -143,9 +142,8 @@ TEST(ChannelBank, ShadowingAutocorrelationIsExpOfLagOverTau) {
   cfg.shadow_tau = 0.1;
   cfg.sample_interval = 1e-3;
   for (int stride : {1, 10, 100}) {
-    ChannelBank bank;
-    bank.add_user(cfg,
-                  common::RngStream(300 + static_cast<std::uint64_t>(stride)));
+    ChannelBank bank(cfg);
+    bank.add_user(common::RngStream(300 + static_cast<std::uint64_t>(stride)));
     const int n = 200000;
     std::vector<double> values;
     values.reserve(n);
@@ -177,8 +175,8 @@ TEST(ChannelBank, ShadowingAutocorrelationIsExpOfLagOverTau) {
 }
 
 TEST(ChannelBank, ShadowingStationarySigmaUnderStridedAdvance) {
-  ChannelBank bank;
-  bank.add_user(test_config(), common::RngStream(7));
+  ChannelBank bank(test_config());
+  bank.add_user(common::RngStream(7));
   double sum = 0.0, sum2 = 0.0;
   const int n = 40000;
   // 0.25 s strides: well past the 1 s shadowing tau would need many steps
@@ -199,8 +197,8 @@ TEST(ChannelBank, ZeroShadowSigmaStaysAtZeroDb) {
   // dB value is 0 at every stride and the SNR is link budget x fading.
   auto cfg = test_config();
   cfg.shadow_sigma_db = 0.0;
-  ChannelBank bank;
-  bank.add_user(cfg, common::RngStream(11));
+  ChannelBank bank(cfg);
+  bank.add_user(common::RngStream(11));
   EXPECT_EQ(bank.shadow_db(0), 0.0);
   double t = 0.0;
   for (int stride : {1, 7, 64}) {
@@ -214,18 +212,15 @@ TEST(ChannelBank, ZeroShadowSigmaStaysAtZeroDb) {
   }
 }
 
-TEST(ChannelBank, MixedConfigsKeepPerUserBudgets) {
-  ChannelBank bank;
-  auto slow = test_config(10.0);
-  slow.shadow_sigma_db = 0.0;  // isolate the link-budget ratio
-  bank.add_user(slow, common::RngStream(1));
-  auto fast = test_config(20.0);
-  fast.shadow_sigma_db = 0.0;
-  fast.doppler_hz = 200.0;  // second parameter group
-  bank.add_user(fast, common::RngStream(2));
+TEST(ChannelBank, PerRowMeansKeepPerUserBudgets) {
+  auto cfg = test_config();
+  cfg.shadow_sigma_db = 0.0;  // isolate the link-budget ratio
+  ChannelBank bank(cfg);
+  bank.set_mean_snr_db(bank.add_user(common::RngStream(1)), 10.0);
+  bank.set_mean_snr_db(bank.add_user(common::RngStream(2)), 20.0);
   bank.advance_all_to(1.0);
-  EXPECT_DOUBLE_EQ(bank.config(0).mean_snr_db, 10.0);
-  EXPECT_DOUBLE_EQ(bank.config(1).mean_snr_db, 20.0);
+  EXPECT_DOUBLE_EQ(bank.mean_snr_db(0), 10.0);
+  EXPECT_DOUBLE_EQ(bank.mean_snr_db(1), 20.0);
   // SNR must scale with the per-user link budget on average; smoke-check
   // the ratio of long-run means.
   double sum0 = 0.0, sum1 = 0.0;
@@ -239,16 +234,16 @@ TEST(ChannelBank, MixedConfigsKeepPerUserBudgets) {
 }
 
 TEST(ChannelBank, TimeMustNotGoBackwards) {
-  ChannelBank bank;
-  bank.add_user(test_config(), common::RngStream(3));
+  ChannelBank bank(test_config());
+  bank.add_user(common::RngStream(3));
   bank.advance_user_to(0, 1.0);
   EXPECT_THROW(bank.advance_user_to(0, 0.5), std::logic_error);
   EXPECT_THROW(bank.advance_all_to(0.5), std::logic_error);
 }
 
 TEST(ChannelBank, RepeatAdvanceIsIdempotent) {
-  ChannelBank bank;
-  bank.add_user(test_config(), common::RngStream(4));
+  ChannelBank bank(test_config());
+  bank.add_user(common::RngStream(4));
   bank.advance_user_to(0, 0.1);
   const double snr = bank.snr_linear(0);
   bank.advance_user_to(0, 0.1);
@@ -260,10 +255,10 @@ TEST(ChannelBank, SetMeanSnrRescalesWithoutDisturbingState) {
   // The mobility fast path: re-anchoring the link budget must not touch
   // the fading/shadowing state or consume any RNG draw — a bank whose mean
   // is edited mid-run stays draw-for-draw identical to an untouched twin.
-  ChannelBank moved, still;
+  ChannelBank moved(test_config()), still(test_config());
   for (std::uint64_t s = 1; s <= 4; ++s) {
-    moved.add_user(test_config(), common::RngStream(s));
-    still.add_user(test_config(), common::RngStream(s));
+    moved.add_user(common::RngStream(s));
+    still.add_user(common::RngStream(s));
   }
   for (int i = 1; i <= 100; ++i) {
     const double t = static_cast<double>(i) * 2.5e-3;
@@ -284,8 +279,8 @@ TEST(ChannelBank, SetMeanSnrRescalesWithoutDisturbingState) {
 }
 
 TEST(ChannelBank, SetMeanSnrMovesTheMean) {
-  ChannelBank bank;
-  bank.add_user(test_config(16.0), common::RngStream(1));
+  ChannelBank bank(test_config(16.0));
+  bank.add_user(common::RngStream(1));
   const double before = bank.snr_linear(0);
   bank.set_mean_snr_db(0, 26.0);
   EXPECT_DOUBLE_EQ(bank.mean_snr_db(0), 26.0);
@@ -296,10 +291,10 @@ TEST(ChannelBank, SetMeanSnrMovesTheMean) {
 TEST(ChannelBank, SnrDbAllMatchesScalarReads) {
   // The bulk pilot plane computes the same quantity as snr_db() in the dB
   // domain (no exp/log10 round trip); values agree to rounding.
-  ChannelBank bank;
+  ChannelBank bank(test_config());
   for (std::uint64_t s = 1; s <= 6; ++s) {
-    bank.add_user(test_config(10.0 + static_cast<double>(s)),
-                  common::RngStream(s));
+    bank.set_mean_snr_db(bank.add_user(common::RngStream(s)),
+                         10.0 + static_cast<double>(s));
   }
   bank.advance_all_to(0.25);
   std::vector<double> bulk(bank.size());
@@ -312,10 +307,10 @@ TEST(ChannelBank, SnrDbAllMatchesScalarReads) {
 }
 
 TEST(ChannelBank, SetMeanSnrDbAllMatchesScalarWrites) {
-  ChannelBank bulk, scalar;
+  ChannelBank bulk(test_config()), scalar(test_config());
   for (std::uint64_t s = 1; s <= 5; ++s) {
-    bulk.add_user(test_config(), common::RngStream(s));
-    scalar.add_user(test_config(), common::RngStream(s));
+    bulk.add_user(common::RngStream(s));
+    scalar.add_user(common::RngStream(s));
   }
   bulk.advance_all_to(0.1);
   scalar.advance_all_to(0.1);
@@ -328,7 +323,7 @@ TEST(ChannelBank, SetMeanSnrDbAllMatchesScalarWrites) {
   for (std::size_t u = 0; u < bulk.size(); ++u) {
     ASSERT_DOUBLE_EQ(bulk.mean_snr_db(u), scalar.mean_snr_db(u));
     ASSERT_DOUBLE_EQ(bulk.snr_linear(u), scalar.snr_linear(u));  // exact
-    ASSERT_DOUBLE_EQ(bulk.config(u).mean_snr_db, db[u]);
+    ASSERT_DOUBLE_EQ(bulk.mean_snr_db(u), db[u]);
   }
   // Bulk re-anchoring is the same no-RNG fast path as the scalar call: the
   // next advance stays draw-for-draw aligned.
@@ -348,10 +343,10 @@ TEST(ChannelBank, SetInterferenceLeavesStateAndDrawsUntouched) {
   // not touch the fading/shadowing state or consume a draw, and a user
   // whose penalty is restored to 0 reads bit-identically to a bank that
   // never saw interference.
-  ChannelBank loaded, clean;
+  ChannelBank loaded(test_config()), clean(test_config());
   for (std::uint64_t s = 1; s <= 4; ++s) {
-    loaded.add_user(test_config(), common::RngStream(s));
-    clean.add_user(test_config(), common::RngStream(s));
+    loaded.add_user(common::RngStream(s));
+    clean.add_user(common::RngStream(s));
   }
   std::vector<double> penalty(loaded.size());
   for (int i = 1; i <= 100; ++i) {
@@ -384,9 +379,9 @@ TEST(ChannelBank, SetInterferenceLeavesStateAndDrawsUntouched) {
 }
 
 TEST(ChannelBank, InterferenceLowersSnrByThePenalty) {
-  ChannelBank bank;
+  ChannelBank bank(test_config());
   for (std::uint64_t s = 1; s <= 3; ++s) {
-    bank.add_user(test_config(), common::RngStream(s));
+    bank.add_user(common::RngStream(s));
   }
   bank.advance_all_to(0.25);
   std::vector<double> baseline(bank.size());
@@ -421,27 +416,21 @@ TEST(ChannelBank, InterferenceLowersSnrByThePenalty) {
 }
 
 TEST(ChannelBank, InvalidConfigsThrow) {
-  ChannelBank bank;
   auto bad_branches = test_config();
   bad_branches.diversity_branches = 0;
-  EXPECT_THROW(bank.add_user(bad_branches, common::RngStream(1)),
-               std::invalid_argument);
+  EXPECT_THROW(ChannelBank{bad_branches}, std::invalid_argument);
   auto bad_sigma = test_config();
   bad_sigma.shadow_sigma_db = -1.0;
-  EXPECT_THROW(bank.add_user(bad_sigma, common::RngStream(1)),
-               std::invalid_argument);
+  EXPECT_THROW(ChannelBank{bad_sigma}, std::invalid_argument);
   auto bad_dt = test_config();
   bad_dt.sample_interval = 0.0;
-  EXPECT_THROW(bank.add_user(bad_dt, common::RngStream(1)),
-               std::invalid_argument);
+  EXPECT_THROW(ChannelBank{bad_dt}, std::invalid_argument);
   auto bad_tau = test_config();
   bad_tau.shadow_tau = 0.0;
-  EXPECT_THROW(bank.add_user(bad_tau, common::RngStream(1)),
-               std::invalid_argument);
+  EXPECT_THROW(ChannelBank{bad_tau}, std::invalid_argument);
   auto bad_doppler = test_config();
   bad_doppler.doppler_hz = 0.0;
-  EXPECT_THROW(bank.add_user(bad_doppler, common::RngStream(1)),
-               std::invalid_argument);
+  EXPECT_THROW(ChannelBank{bad_doppler}, std::invalid_argument);
 }
 
 TEST(ChannelBank, RangeWritesMatchAllWritesWithVacancies) {
@@ -449,11 +438,11 @@ TEST(ChannelBank, RangeWritesMatchAllWritesWithVacancies) {
   // back exactly what was written, vacant rows keep what they held, and
   // the resulting SINR matches a bank whose means were fed one scalar
   // set_mean_snr_db call per active row.
-  ChannelBank a, b;
+  ChannelBank a(test_config()), b(test_config());
   constexpr std::size_t kUsers = 8;
   for (std::uint64_t s = 1; s <= kUsers; ++s) {
-    a.add_user(test_config(), common::RngStream(s));
-    b.add_user(test_config(), common::RngStream(s));
+    a.add_user(common::RngStream(s));
+    b.add_user(common::RngStream(s));
   }
   a.release_user(2);
   b.release_user(2);
@@ -492,10 +481,10 @@ TEST(ChannelBank, SnrDbRangeMatchesSnrDbAllAndSkipsVacantRows) {
   // agree with the scalar snr_db() to rounding, as in
   // SnrDbAllMatchesScalarReads, and the caller's entry at the vacant slot
   // is left untouched.
-  ChannelBank bank;
+  ChannelBank bank(test_config());
   constexpr std::size_t kUsers = 6;
   for (std::uint64_t s = 1; s <= kUsers; ++s) {
-    bank.add_user(test_config(), common::RngStream(s));
+    bank.add_user(common::RngStream(s));
   }
   bank.release_user(1);
   for (int i = 1; i <= 20; ++i) {
@@ -511,6 +500,76 @@ TEST(ChannelBank, SnrDbRangeMatchesSnrDbAllAndSkipsVacantRows) {
     } else {
       EXPECT_NEAR(all[u], bank.snr_db(u), 1e-9) << "slot " << u;
     }
+  }
+}
+
+// Row `ua` of `a` and row `ub` of `b` hold the same channel state, bit for
+// bit: step, every branch's I/Q, shadowing, fading power, innovation
+// cursor and the SINR read.
+void expect_rows_bitwise_equal(const ChannelBank& a, std::size_t ua,
+                               const ChannelBank& b, std::size_t ub) {
+  EXPECT_EQ(a.current_step(ua), b.current_step(ub));
+  for (int br = 0; br < a.config().diversity_branches; ++br) {
+    EXPECT_EQ(a.fade_re(ua, br), b.fade_re(ub, br)) << "branch " << br;
+    EXPECT_EQ(a.fade_im(ua, br), b.fade_im(ub, br)) << "branch " << br;
+  }
+  EXPECT_EQ(a.shadow_db(ua), b.shadow_db(ub));
+  EXPECT_EQ(a.fading_power(ua), b.fading_power(ub));
+  EXPECT_EQ(a.rng_cursor(ua), b.rng_cursor(ub));
+  EXPECT_EQ(a.snr_linear(ua), b.snr_linear(ub));
+}
+
+TEST(ChannelBank, AcquireReusesReleasedRowsLifo) {
+  // Row recycling: the free-list is LIFO, an empty free-list appends, and
+  // a recycled row is indistinguishable from a fresh row seeded from the
+  // same stream at the same instant — whatever mean, interference and
+  // channel history the slot carried before its release.
+  constexpr double kDt = 2.5e-3;
+  ChannelBank bank(test_config());
+  for (std::uint64_t s = 1; s <= 6; ++s) {
+    bank.add_user(common::RngStream(s));
+  }
+  int frame = 0;
+  for (; frame < 40; ++frame) {
+    bank.advance_all_to(static_cast<double>(frame + 1) * kDt);
+  }
+  std::vector<double> interference(bank.size(), 3.0);
+  bank.set_interference_db_all(interference);
+  bank.set_mean_snr_db(4, 30.0);
+  bank.release_user(1);
+  bank.release_user(4);
+  for (; frame < 57; ++frame) {
+    bank.advance_all_to(static_cast<double>(frame + 1) * kDt);
+  }
+
+  const std::uint64_t seeds[] = {101, 102, 103};
+  const std::size_t expected_slots[] = {4, 1, 6};
+  std::vector<ChannelBank> fresh;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(bank.acquire_user(common::RngStream(seeds[i])),
+              expected_slots[i])
+        << "acquire " << i;
+    fresh.emplace_back(test_config());
+    fresh.back().set_time(static_cast<double>(frame) * kDt);
+    fresh.back().add_user(common::RngStream(seeds[i]));
+  }
+  for (int i = 0; i < 3; ++i) {
+    SCOPED_TRACE("slot " + std::to_string(expected_slots[i]));
+    const std::size_t slot = expected_slots[i];
+    EXPECT_EQ(bank.mean_snr_db(slot), test_config().mean_snr_db);
+    EXPECT_EQ(bank.interference_db(slot), 0.0);
+    expect_rows_bitwise_equal(bank, slot, fresh[i], 0);
+  }
+
+  for (; frame < 90; ++frame) {
+    const double t = static_cast<double>(frame + 1) * kDt;
+    bank.advance_all_to(t);
+    for (auto& f : fresh) f.advance_all_to(t);
+  }
+  for (int i = 0; i < 3; ++i) {
+    SCOPED_TRACE("after 33 frames, slot " +
+                 std::to_string(expected_slots[i]));
+    expect_rows_bitwise_equal(bank, expected_slots[i], fresh[i], 0);
   }
 }
 
@@ -567,30 +626,35 @@ TEST(ChannelBankPinned, EagerAdvanceSequence) {
          -0x1.05d9dc6a9a422p+0,
          0x1.1cb43aa9b0442p-1}}},
   };
-  ChannelBank bank;
+  // One bank per radio configuration: the 1-branch and the 4-branch user
+  // each sit in row 0 of their own bank.
   auto one = test_config();
   one.diversity_branches = 1;
-  bank.add_user(one, common::RngStream(2024));
-  bank.add_user(test_config(), common::RngStream(2025));  // 4 branches
+  ChannelBank banks[2] = {ChannelBank(one), ChannelBank(test_config())};
+  banks[0].add_user(common::RngStream(2024));
+  banks[1].add_user(common::RngStream(2025));
   int frame = 0;
   for (const auto& cp : expected) {
     while (frame < cp.frame) {
       ++frame;
-      bank.advance_all_to(static_cast<double>(frame) * 2.5e-3);
+      for (auto& bank : banks) {
+        bank.advance_all_to(static_cast<double>(frame) * 2.5e-3);
+      }
     }
     for (std::size_t u = 0; u < 2; ++u) {
       SCOPED_TRACE("frame " + std::to_string(cp.frame) + " user " +
                    std::to_string(u));
+      const ChannelBank& bank = banks[u];
       const Pin& pin = cp.user[u];
-      ASSERT_EQ(static_cast<std::size_t>(bank.config(u).diversity_branches),
+      ASSERT_EQ(static_cast<std::size_t>(bank.config().diversity_branches),
                 pin.fade.size());
-      EXPECT_EQ(bank.rng_cursor(u), pin.cursor);
+      EXPECT_EQ(bank.rng_cursor(0), pin.cursor);
       for (std::size_t b = 0; b < pin.fade.size(); ++b) {
-        EXPECT_EQ(bank.fade_re(u, static_cast<int>(b)), pin.fade[b].first);
-        EXPECT_EQ(bank.fade_im(u, static_cast<int>(b)), pin.fade[b].second);
+        EXPECT_EQ(bank.fade_re(0, static_cast<int>(b)), pin.fade[b].first);
+        EXPECT_EQ(bank.fade_im(0, static_cast<int>(b)), pin.fade[b].second);
       }
-      EXPECT_EQ(bank.shadow_db(u), pin.shadow_db);
-      EXPECT_EQ(bank.fading_power(u), pin.fading_power);
+      EXPECT_EQ(bank.shadow_db(0), pin.shadow_db);
+      EXPECT_EQ(bank.fading_power(0), pin.fading_power);
     }
   }
 }

@@ -26,7 +26,7 @@ MobileUser make_user(common::UserId id, ServiceType service,
 }
 
 TEST(MobileUser, VoiceConstruction) {
-  channel::ChannelBank bank;
+  channel::ChannelBank bank(test_params().channel);
   const auto u = make_user(0, ServiceType::kVoice, test_params(), bank);
   EXPECT_TRUE(u.is_voice());
   EXPECT_FALSE(u.is_data());
@@ -37,7 +37,7 @@ TEST(MobileUser, VoiceConstruction) {
 }
 
 TEST(MobileUser, DataConstruction) {
-  channel::ChannelBank bank;
+  channel::ChannelBank bank(test_params().channel);
   const auto u = make_user(5, ServiceType::kData, test_params(), bank);
   EXPECT_TRUE(u.is_data());
   EXPECT_DOUBLE_EQ(u.data().config().mean_burst_packets, 100.0);
@@ -45,7 +45,7 @@ TEST(MobileUser, DataConstruction) {
 
 TEST(MobileUser, IndependentStreamsAcrossUsers) {
   auto params = test_params();
-  channel::ChannelBank bank;
+  channel::ChannelBank bank(params.channel);
   auto a = make_user(0, ServiceType::kVoice, params, bank);
   auto b = make_user(1, ServiceType::kVoice, params, bank);
   // Different user ids draw different MAC randomness despite one seed.
@@ -59,8 +59,8 @@ TEST(MobileUser, IndependentStreamsAcrossUsers) {
 TEST(MobileUser, ReproducibleAcrossConstructions) {
   auto params = test_params();
   // Separate banks: the same user built twice, as two cells would.
-  channel::ChannelBank bank_a;
-  channel::ChannelBank bank_b;
+  channel::ChannelBank bank_a(params.channel);
+  channel::ChannelBank bank_b(params.channel);
   auto a = make_user(0, ServiceType::kVoice, params, bank_a);
   auto b = make_user(0, ServiceType::kVoice, params, bank_b);
   for (int i = 0; i < 50; ++i) {
@@ -72,7 +72,7 @@ TEST(MobileUser, ReproducibleAcrossConstructions) {
 }
 
 TEST(MobileUser, BackoffDynamics) {
-  channel::ChannelBank bank;
+  channel::ChannelBank bank(test_params().channel);
   auto u = make_user(0, ServiceType::kData, test_params(), bank);
   EXPECT_DOUBLE_EQ(u.backoff_scale(), 1.0);
   u.note_contention_collision();
@@ -84,7 +84,7 @@ TEST(MobileUser, BackoffDynamics) {
 }
 
 TEST(MobileUser, BackoffFloor) {
-  channel::ChannelBank bank;
+  channel::ChannelBank bank(test_params().channel);
   auto u = make_user(0, ServiceType::kData, test_params(), bank);
   for (int i = 0; i < 20; ++i) u.note_contention_collision();
   EXPECT_DOUBLE_EQ(u.backoff_scale(), 1.0 / 64.0);

@@ -65,5 +65,26 @@ TEST(Factory, InvalidScenarioRejected) {
                std::invalid_argument);
 }
 
+TEST(Factory, InvalidRadioConfigRejectedAtConstruction) {
+  // The engine's channel bank validates the radio configuration when the
+  // engine is built — even an empty, deferred-population engine (a world
+  // cell) must not wait for its first band admit to fail.
+  auto base = small_mixed(5, 0);
+  base.defer_population = true;
+  auto bad_branches = base;
+  bad_branches.channel.diversity_branches = 0;
+  EXPECT_THROW(make_protocol(ProtocolId::kCharisma, bad_branches),
+               std::invalid_argument);
+  auto bad_doppler = base;
+  bad_doppler.channel.doppler_hz = 0.0;
+  EXPECT_THROW(make_protocol(ProtocolId::kCharisma, bad_doppler),
+               std::invalid_argument);
+  auto bad_sigma = base;
+  bad_sigma.channel.shadow_sigma_db = -1.0;
+  EXPECT_THROW(make_protocol(ProtocolId::kCharisma, bad_sigma),
+               std::invalid_argument);
+  EXPECT_NO_THROW(make_protocol(ProtocolId::kCharisma, base));
+}
+
 }  // namespace
 }  // namespace charisma::protocols

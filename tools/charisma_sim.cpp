@@ -210,14 +210,28 @@ mac::ScenarioParams scenario_from(const common::KeyValueConfig& config) {
       config.get_double_or("mean_snr_db", params.channel.mean_snr_db);
   params.channel.shadow_sigma_db =
       config.get_double_or("shadow_sigma_db", params.channel.shadow_sigma_db);
+  if (params.channel.shadow_sigma_db < 0.0) {
+    throw std::invalid_argument("shadow_sigma_db= must be >= 0");
+  }
   if (config.contains("kmh")) {
-    params.channel.doppler_hz = channel::ChannelConfig::doppler_for_speed(
-        common::km_per_hour(config.get_double_or("kmh", 50.0)), 2.0e9);
+    const double kmh = config.get_double_or("kmh", 50.0);
+    if (kmh < 0.0) throw std::invalid_argument("kmh= must be >= 0");
+    // Floored like cellular_from's default: a parked population still
+    // fades a little.
+    params.channel.doppler_hz =
+        std::max(1.0, channel::ChannelConfig::doppler_for_speed(
+                          common::km_per_hour(kmh), 2.0e9));
   }
   params.channel.doppler_hz =
       config.get_double_or("doppler_hz", params.channel.doppler_hz);
+  if (params.channel.doppler_hz <= 0.0) {
+    throw std::invalid_argument("doppler_hz= must be > 0");
+  }
   params.channel.diversity_branches =
       config.get_int_or("diversity", params.channel.diversity_branches);
+  if (params.channel.diversity_branches < 1) {
+    throw std::invalid_argument("diversity= must be >= 1");
+  }
 
   params.fixed_phy_reference_db =
       config.get_double_or("fixed_ref_db", params.fixed_phy_reference_db);

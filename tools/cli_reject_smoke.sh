@@ -1,6 +1,7 @@
 #!/bin/sh
 # Feeds charisma_sim values it must refuse and requires, for each, a
-# non-zero exit and an error naming the offending knob on stderr.
+# non-zero exit and an error naming the offending knob on stderr; edge
+# values it must honour (kmh=0) must exit 0.
 # Usage: cli_reject_smoke.sh path/to/charisma_sim
 set -u
 
@@ -30,9 +31,25 @@ expect_reject x sweep=voice x=4,8x
 expect_reject x sweep=voice x=4,abc
 expect_reject replications replications=0
 expect_reject cells cells=0
+expect_reject kmh kmh=-5
+expect_reject doppler_hz doppler_hz=0
+expect_reject diversity diversity=0
+expect_reject shadow_sigma_db shadow_sigma_db=-1
+
+# expect_accept ARGS...: the run must exit 0.
+expect_accept() {
+  if ! "$sim" "$@" $small >/dev/null 2>&1; then
+    echo "cli_reject_smoke: rejected: $*" >&2
+    failures=$((failures + 1))
+  fi
+}
+
+# A parked population (kmh=0) still fades at the 1 Hz Doppler floor.
+expect_accept kmh=0 cells=1
+expect_accept kmh=0 cells=3
 
 if [ "$failures" -ne 0 ]; then
-  echo "cli_reject_smoke: $failures case(s) not rejected" >&2
+  echo "cli_reject_smoke: $failures case(s) failed" >&2
   exit 1
 fi
 echo "cli_reject_smoke: OK"
