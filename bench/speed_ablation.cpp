@@ -27,7 +27,7 @@ double benchmark_bank(int users, int frames, int stride) {
   channel::ChannelBank bank(cfg);
   bank.reserve(static_cast<std::size_t>(users));
   for (int i = 0; i < users; ++i) {
-    bank.add_user(common::RngStream(static_cast<std::uint64_t>(i) + 1));
+    bank.acquire_user(common::RngStream(static_cast<std::uint64_t>(i) + 1));
   }
   double sink = 0.0;
   const auto start = std::chrono::steady_clock::now();
@@ -53,7 +53,7 @@ double benchmark_bank_lazy(int users, int frames, double touch_ratio) {
   channel::ChannelBank bank(cfg);
   bank.reserve(static_cast<std::size_t>(users));
   for (int i = 0; i < users; ++i) {
-    bank.add_user(common::RngStream(static_cast<std::uint64_t>(i) + 1));
+    bank.acquire_user(common::RngStream(static_cast<std::uint64_t>(i) + 1));
   }
   bank.set_lazy(true);
   const int window = std::max(
@@ -70,8 +70,9 @@ double benchmark_bank_lazy(int users, int frames, double touch_ratio) {
     t += cfg.sample_interval;
     const std::size_t lo = static_cast<std::size_t>(
         (static_cast<long long>(f) * window) % users);
-    bank.advance_users_to(
-        {ids.data() + lo, static_cast<std::size_t>(window)}, t);
+    bank.set_time(t);
+    bank.materialize_users(
+        {ids.data() + lo, static_cast<std::size_t>(window)});
     sink += bank.fading_power(ids[lo]);
   }
   const std::chrono::duration<double> wall =

@@ -5,7 +5,7 @@
 // empirical behaviour to theory.
 #pragma once
 
-#include "channel/user_channel.hpp"
+#include "channel/channel_bank.hpp"
 #include "phy/modes.hpp"
 
 namespace charisma::analysis {

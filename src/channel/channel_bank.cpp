@@ -1,10 +1,10 @@
 #include "channel/channel_bank.hpp"
 
+#include <cassert>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 #include "channel/fading.hpp"
 #include "common/math.hpp"
@@ -64,33 +64,31 @@ void ChannelBank::reserve(std::size_t users) {
   vacant_.reserve(users);
 }
 
-std::size_t ChannelBank::add_user(common::RngStream rng) {
-  // Append an empty row, then seed it exactly as acquire_user re-seeds a
-  // recycled one.
-  const std::size_t user = step_.size();
-  rng_.push_back(common::SplitMix64(0));
-  fade_re_.resize(fade_re_.size() + branches_);
-  fade_im_.resize(fade_im_.size() + branches_);
-  mean_snr_linear_.push_back(0.0);
-  mean_snr_db_.push_back(0.0);
-  interference_db_.push_back(0.0);
-  interference_linear_.push_back(0.0);
-  step_.push_back(0);
-  fading_power_.push_back(0.0);
-  shadow_db_.push_back(0.0);
-  shadow_linear_.push_back(0.0);
-  vacant_.push_back(0);
-  seed_row(user, rng);
-  return user;
-}
-
 std::size_t ChannelBank::acquire_user(common::RngStream rng) {
-  if (free_slots_.empty()) return add_user(std::move(rng));
-  const std::size_t user = free_slots_.back();
-  free_slots_.pop_back();
+  std::size_t user;
+  if (free_slots_.empty()) {
+    // Append an empty row; seed_row below fills it exactly as it re-seeds
+    // a recycled one.
+    user = step_.size();
+    rng_.push_back(common::SplitMix64(0));
+    fade_re_.resize(fade_re_.size() + branches_);
+    fade_im_.resize(fade_im_.size() + branches_);
+    mean_snr_linear_.push_back(0.0);
+    mean_snr_db_.push_back(0.0);
+    interference_db_.push_back(0.0);
+    interference_linear_.push_back(0.0);
+    step_.push_back(0);
+    fading_power_.push_back(0.0);
+    shadow_db_.push_back(0.0);
+    shadow_linear_.push_back(0.0);
+    vacant_.push_back(0);
+  } else {
+    user = free_slots_.back();
+    free_slots_.pop_back();
+    vacant_[user] = 0;
+    --vacant_count_;
+  }
   seed_row(user, rng);
-  vacant_[user] = 0;
-  --vacant_count_;
   return user;
 }
 
@@ -198,31 +196,6 @@ void ChannelBank::jump_user(std::size_t user, const JumpCoeffs& c) {
   shadow_linear_[user] = -1.0;  // recomputed lazily on first SNR read
 }
 
-void ChannelBank::advance_user_to(std::size_t user, common::Time t) {
-  if (lazy_) {
-    // One clock per lazy bank: move it (monotonically) and materialize just
-    // this user; everyone else catches up on their own next read/touch.
-    set_time(t);
-    materialize_user(user);
-    return;
-  }
-  // Eager: the historical independent per-user walk (no bank clock). Same
-  // boundary rule as ever: the epsilon absorbs accumulated floating-point
-  // error when t is built by summing frame durations that are not exact
-  // binary fractions.
-  const auto target = static_cast<std::int64_t>(
-      std::floor(t / config_.sample_interval + 1e-9));
-  if (target < step_[user]) {
-    throw std::logic_error("ChannelBank::advance_user_to: time went backwards");
-  }
-  const std::int64_t k = target - step_[user];
-  if (k == 0) return;
-  jump_user(user, coeffs(k));
-  step_[user] = target;
-  ++jump_events_;
-  jump_frames_ += k;
-}
-
 void ChannelBank::set_time(common::Time t) {
   // O(1) in the population: one floor(). Identical boundary expression to
   // the historical advance_all_to loop, so eager advance_all_to (= set_time
@@ -235,15 +208,14 @@ void ChannelBank::set_time(common::Time t) {
   target_step_ = target;
 }
 
+// No row is ever ahead of the bank clock: a row is seeded at the clock's
+// step, only ever jumps to it, and the clock only moves forward
+// (set_time). Every k below is therefore >= 0.
+
 void ChannelBank::materialize_user(std::size_t user) {
   const std::int64_t k = target_step_ - step_[user];
-  if (k <= 0) {
-    if (k < 0) {
-      throw std::logic_error(
-          "ChannelBank::materialize_user: user ahead of the bank clock");
-    }
-    return;
-  }
+  assert(k >= 0);
+  if (k == 0) return;
   jump_user(user, coeffs(k));
   step_[user] = target_step_;
   ++jump_events_;
@@ -251,8 +223,7 @@ void ChannelBank::materialize_user(std::size_t user) {
 }
 
 template <typename Index>
-void ChannelBank::materialize_batch(const Index* ids, std::size_t n,
-                                    const char* caller) {
+void ChannelBank::materialize_batch(const Index* ids, std::size_t n) {
   // The memoized jump loop (bit-identical to the historical advance_all_to
   // body when ids is the full population). In the common case every user
   // sits at the same step, so the coefficient lookup is hoisted out of the
@@ -262,10 +233,8 @@ void ChannelBank::materialize_batch(const Index* ids, std::size_t n,
   const JumpCoeffs* c = nullptr;
   for (std::size_t i = 0; i < n; ++i) {
     const auto user = static_cast<std::size_t>(ids[i]);
-    if (target < step_[user]) {
-      throw std::logic_error(std::string(caller) + ": time went backwards");
-    }
     const std::int64_t k = target - step_[user];
+    assert(k >= 0);
     if (k == 0) continue;
     if (k != last_k) {
       last_k = k;
@@ -278,46 +247,31 @@ void ChannelBank::materialize_batch(const Index* ids, std::size_t n,
   }
 }
 
-void ChannelBank::materialize_active(const char* caller) {
+void ChannelBank::materialize_all() {
   // "All" means all *active* rows: vacant rows must never advance (their
   // next acquire re-seeds them) nor count toward the jump accounting. With
   // no vacancies the batch is the historical full iota, bit for bit.
   refresh_active();
-  materialize_batch(scratch_ids_.data(), scratch_ids_.size(), caller);
-}
-
-void ChannelBank::materialize_slots(std::span<const common::UserId> slots,
-                                    const char* caller) {
-  for (const common::UserId slot : slots) {
-    if (slot < 0 || static_cast<std::size_t>(slot) >= step_.size()) {
-      throw std::out_of_range(std::string(caller) + ": bad slot " +
-                              std::to_string(slot));
-    }
-    if (vacant_[static_cast<std::size_t>(slot)]) {
-      throw std::logic_error(std::string(caller) + ": slot " +
-                             std::to_string(slot) + " is vacant");
-    }
-  }
-  materialize_batch(slots.data(), slots.size(), caller);
-}
-
-void ChannelBank::materialize_all() {
-  materialize_active("ChannelBank::materialize_all");
+  materialize_batch(scratch_ids_.data(), scratch_ids_.size());
 }
 
 void ChannelBank::materialize_users(std::span<const common::UserId> slots) {
-  materialize_slots(slots, "ChannelBank::materialize_users");
-}
-
-void ChannelBank::advance_users_to(std::span<const common::UserId> slots,
-                                   common::Time t) {
-  set_time(t);
-  materialize_slots(slots, "ChannelBank::advance_users_to");
+  for (const common::UserId slot : slots) {
+    if (slot < 0 || static_cast<std::size_t>(slot) >= step_.size()) {
+      throw std::out_of_range("ChannelBank::materialize_users: bad slot " +
+                              std::to_string(slot));
+    }
+    if (vacant_[static_cast<std::size_t>(slot)]) {
+      throw std::logic_error("ChannelBank::materialize_users: slot " +
+                             std::to_string(slot) + " is vacant");
+    }
+  }
+  materialize_batch(slots.data(), slots.size());
 }
 
 void ChannelBank::advance_all_to(common::Time t) {
   set_time(t);
-  materialize_active("ChannelBank::advance_all_to");
+  materialize_all();
 }
 
 void ChannelBank::set_mean_snr_db(std::size_t user, double db) {

@@ -21,17 +21,23 @@
 // memoizes the rho^k / sqrt(1-rho^2k) coefficients per stride, so the
 // common frame strides hit a precomputed table.
 //
-// Each user keeps its own RngStream (seeded from the scenario seed and user
-// id), so results are independent of population size and of whether a user
-// is advanced individually or in the batched pass. A population with
+// A row is the simulator's only channel handle: an engine's user holds its
+// bank slot, and a standalone trace (one device, Figs. 5 and 7, the fading
+// explorer) is row 0 of a one-row bank. Each row keeps its own RngStream
+// (seeded from the scenario seed and user id), so a row's realization is
+// independent of population size: row u of a populated bank equals a
+// one-row bank seeded from the same stream, bit for bit. A population with
 // differing radio environments uses one bank per environment, as a world
 // keeps one bank per cell.
+//
+// One clock per bank: every row is advanced to the bank clock and never
+// past it, so no row can run ahead of the others' time base.
 //
 // Lazy mode (set_lazy(true), opt-in): the bank separates the frame clock
 // from materialization. set_time(t) moves the clock in O(1); per-user state
 // is materialized on demand — by the frame's declared touch set
-// (advance_users_to / materialize_users) or transparently by the first read
-// of an untouched user — via the same closed-form jump, so a user idle for
+// (materialize_users) or transparently by the first read of an untouched
+// user — via the same closed-form jump, so a user idle for
 // k frames pays one jump (one table lookup) instead of k. Because every
 // user owns a private innovation stream, a lazy bank's realization is
 // independent of *who* triggers materialization and of the order users
@@ -68,10 +74,8 @@ struct ChannelConfig {
 
 /// SoA bank of per-user fading + shadowing processes under one radio
 /// configuration, stepped on the configuration's sample grid. Rows are
-/// either appended once (add_user) or cycled through the acquire/release
-/// free-list (sparse presence); either way the caller addresses a row by
-/// the returned slot index and UserChannel wraps one slot as a per-user
-/// view.
+/// acquired (appended, or recycled through the release free-list for
+/// sparse presence) and addressed by the returned slot index.
 class ChannelBank {
  public:
   /// Validates `config` (>= 1 diversity branch, shadow_sigma_db >= 0,
@@ -81,21 +85,15 @@ class ChannelBank {
 
   void reserve(std::size_t users);
 
-  /// Appends a user in the stationary channel state at the configured mean
-  /// SNR and returns its index. The stream seeds this user's private
-  /// innovation generator, so a user's realization depends only on its own
-  /// stream — not on the population around it.
-  std::size_t add_user(common::RngStream rng);
-
-  /// add_user with slot recycling: reuses the most recently released row
-  /// (LIFO over the free-list, so serial and parallel worlds that release
-  /// in the same coordinator order reuse the same slots), else appends.
-  /// The reused row is re-seeded from `rng` exactly as add_user would seed
-  /// a fresh one — same stationary-start draw order, configured mean, no
-  /// interference — and starts at the bank clock's current step, so what a
-  /// row materializes depends only on the stream it was given and on when
-  /// it was acquired, never on which slot the free-list happened to hand
-  /// back. With an empty free-list this is add_user bit for bit.
+  /// Starts a user in the stationary channel state at the configured mean
+  /// SNR, no interference, at the bank clock's current step, and returns
+  /// its slot: the most recently released row (LIFO over the free-list, so
+  /// serial and parallel worlds that release in the same coordinator order
+  /// reuse the same slots), else a new row appended at size(). The stream
+  /// seeds this user's private innovation generator, so what a row
+  /// materializes depends only on the stream it was given and on when it
+  /// was acquired — never on the population around it or on which slot
+  /// the free-list happened to hand back.
   std::size_t acquire_user(common::RngStream rng);
 
   /// Returns `slot` to the free-list. The row's state stays in place but
@@ -112,16 +110,10 @@ class ChannelBank {
 
   std::size_t size() const { return step_.size(); }
 
-  /// Advances every user to (the grid point at or before) `t` in one pass.
-  /// Equivalent to set_time(t) + materialize_all(); in the default eager
-  /// mode this reproduces the historical per-frame schedule bit for bit.
+  /// Advances every user to (the grid point at or before) `t` in one pass:
+  /// set_time(t) + materialize_all(). In the default eager mode this
+  /// reproduces the historical per-frame schedule bit for bit.
   void advance_all_to(common::Time t);
-
-  /// Advances one user; must be called with non-decreasing times per user.
-  /// In lazy mode this moves the bank clock (monotonically) and
-  /// materializes just this user; in eager mode it is the historical
-  /// independent per-user advance and leaves the bank clock untouched.
-  void advance_user_to(std::size_t user, common::Time t);
 
   // ---- Lazy on-demand materialization (opt-in; see file comment) ----
 
@@ -131,8 +123,9 @@ class ChannelBank {
   void set_lazy(bool lazy) { lazy_ = lazy; }
   bool lazy() const { return lazy_; }
 
-  /// O(1) frame-clock move: records `t` (non-decreasing) as the boundary
-  /// every subsequent read/touch materializes to. No per-user work.
+  /// O(1) frame-clock move: records `t` (non-decreasing; an earlier time
+  /// throws std::logic_error) as the boundary every subsequent read/touch
+  /// materializes to. No per-user work.
   void set_time(common::Time t);
 
   /// Materializes the given bank slots up to the bank clock in one batch
@@ -147,11 +140,6 @@ class ChannelBank {
 
   /// Materializes every user up to the bank clock (epoch pilot planes).
   void materialize_all();
-
-  /// set_time(t) + materialize_users(slots): the lazy frame-loop entry
-  /// point replacing advance_all_to(t) when only `slots` will be read.
-  void advance_users_to(std::span<const common::UserId> slots,
-                        common::Time t);
 
   /// Materialization accounting since construction: `jump_events` counts
   /// executed jumps (user-frames where work was done), `jump_frames` the
@@ -261,7 +249,7 @@ class ChannelBank {
 
   /// Writes row `user`'s configured mean, zero interference, the bank
   /// clock's step and a stationary I/Q + shadowing start drawn from `rng`
-  /// (the shared seeding of add_user and acquire_user).
+  /// (acquire_user's seeding of a new or recycled row).
   void seed_row(std::size_t user, common::RngStream& rng);
 
   /// Materializes one user up to the bank clock (lazy read path).
@@ -278,14 +266,8 @@ class ChannelBank {
 
   /// Jumps each of `ids` (bank slots) to the bank clock, reusing the
   /// previous iteration's coefficients while the stride repeats.
-  /// `caller` names the public entry point in error messages.
   template <typename Index>
-  void materialize_batch(const Index* ids, std::size_t n, const char* caller);
-  /// The bodies of materialize_all/advance_all_to (every active row) and
-  /// materialize_users/advance_users_to (a validated touch set).
-  void materialize_active(const char* caller);
-  void materialize_slots(std::span<const common::UserId> slots,
-                         const char* caller);
+  void materialize_batch(const Index* ids, std::size_t n);
 
   double shadow_linear(std::size_t user) const {
     double linear = shadow_linear_[user];
@@ -337,7 +319,7 @@ class ChannelBank {
   // Ascending active-slot list fed to the batch loop and the bulk
   // loops. With no vacancies it is the iota over all slots (the historical
   // materialize_all batch, bit for bit); rebuilt lazily after any
-  // add/acquire/release. Mutable: refreshing it from a const read path is
+  // acquire/release. Mutable: refreshing it from a const read path is
   // the same logical-constness escape as ensure_user.
   mutable std::vector<std::uint32_t> scratch_ids_;
   mutable bool active_dirty_ = false;

@@ -27,24 +27,12 @@ WorkerPool::~WorkerPool() {
   workers_.clear();
 }
 
-void WorkerPool::run_task(std::size_t i) {
-  if (range_fn_ != nullptr) {
-    // Shard i of the round's range decomposition: the bounds are a pure
-    // function of (total, shards), so claiming order cannot change them.
-    const std::size_t begin = i * range_total_ / n_;
-    const std::size_t end = (i + 1) * range_total_ / n_;
-    (*range_fn_)(i, begin, end);
-  } else {
-    (*fn_)(i);
-  }
-}
-
 void WorkerPool::run_round() {
   while (!failed_.load(std::memory_order_acquire)) {
     const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
     if (i >= n_) return;
     try {
-      run_task(i);
+      (*fn_)(i);
     } catch (...) {
       {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -81,7 +69,6 @@ void WorkerPool::dispatch_round() {
   // wait clears), so the caller sees all writes made by the tasks.
   done_cv_.wait(lock, [&] { return workers_active_ == 0; });
   fn_ = nullptr;
-  range_fn_ = nullptr;
   if (error_) {
     std::exception_ptr e = error_;
     error_ = nullptr;
@@ -101,7 +88,6 @@ void WorkerPool::for_each(std::size_t n,
   {
     std::lock_guard<std::mutex> lock(mutex_);
     fn_ = &fn;
-    range_fn_ = nullptr;
     n_ = n;
     next_.store(0, std::memory_order_relaxed);
     failed_.store(false, std::memory_order_relaxed);
@@ -115,27 +101,20 @@ void WorkerPool::for_each(std::size_t n,
 void WorkerPool::for_each_range(
     std::size_t total, std::size_t shards,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
-  if (total == 0 || shards == 0) return;
-  shards = std::min(shards, total);  // never an empty shard
-  if (workers_.empty()) {
-    for (std::size_t s = 0; s < shards; ++s) {
-      fn(s, s * total / shards, (s + 1) * total / shards);
-    }
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    fn_ = nullptr;
-    range_fn_ = &fn;
-    range_total_ = total;
-    n_ = shards;
-    next_.store(0, std::memory_order_relaxed);
-    failed_.store(false, std::memory_order_relaxed);
-    error_ = nullptr;
-    workers_active_ = workers_.size();
-    ++round_;
-  }
-  dispatch_round();
+  if (total == 0) return;
+  // Shard s's bounds are a pure function of (total, shards), so neither the
+  // claiming order nor the thread count can change them. One by-reference
+  // capture keeps the per-shard wrapper inside std::function's inline
+  // storage: a round allocates nothing.
+  const struct {
+    std::size_t total;
+    std::size_t shards;  // never an empty shard
+    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn;
+  } range{total, std::min(shards, total), fn};
+  for_each(range.shards, [&range](std::size_t s) {
+    range.fn(s, s * range.total / range.shards,
+             (s + 1) * range.total / range.shards);
+  });
 }
 
 }  // namespace charisma::experiment

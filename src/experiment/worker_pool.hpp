@@ -60,9 +60,8 @@ class WorkerPool {
   /// Claims and runs indices of the current round until they run out (or a
   /// failure short-circuits the round).
   void run_round();
-  void run_task(std::size_t i);
-  /// Dispatches one round (n_ indices over whichever of fn_/range_fn_ is
-  /// set) across the workers plus the calling thread, with a full barrier.
+  /// Dispatches one round (fn_ over n_ indices) across the workers plus
+  /// the calling thread, with a full barrier.
   void dispatch_round();
 
   unsigned threads_;
@@ -77,9 +76,6 @@ class WorkerPool {
   std::exception_ptr error_;
 
   const std::function<void(std::size_t)>* fn_ = nullptr;
-  const std::function<void(std::size_t, std::size_t, std::size_t)>*
-      range_fn_ = nullptr;
-  std::size_t range_total_ = 0;  ///< for_each_range: size of [0, total)
   std::size_t n_ = 0;
   std::atomic<std::size_t> next_{0};
   std::atomic<bool> failed_{false};

@@ -109,9 +109,7 @@ CellularWorld::CellularWorld(const CellularConfig& config,
   // workers would only be woken twice per epoch to claim nothing.
   threads = std::min(
       threads, std::max(static_cast<unsigned>(config_.num_cells), num_shards_));
-  if (threads > 1) {
-    pool_ = std::make_unique<experiment::WorkerPool>(threads);
-  }
+  pool_ = std::make_unique<experiment::WorkerPool>(threads);
 
   const auto users = static_cast<std::size_t>(config_.params.total_users());
   site_index_.rebuild(layout_, config_.pilot_band_radius_m);
@@ -161,18 +159,7 @@ std::vector<int> CellularWorld::band_cells(common::UserId user) const {
 
 void CellularWorld::for_each_user_shard(
     const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
-  const std::size_t users = attached_.size();
-  if (pool_) {
-    pool_->for_each_range(users, num_shards_, fn);
-  } else {
-    // Same decomposition formula as WorkerPool::for_each_range, so the
-    // shard boundaries — and with them the proposal arenas — never depend
-    // on whether a pool exists.
-    const std::size_t shards = std::min<std::size_t>(num_shards_, users);
-    for (std::size_t s = 0; s < shards; ++s) {
-      fn(s, s * users / shards, (s + 1) * users / shards);
-    }
-  }
+  pool_->for_each_range(attached_.size(), num_shards_, fn);
 }
 
 void CellularWorld::advance_mobility(common::Time t) {
@@ -263,7 +250,7 @@ void CellularWorld::update_user_band(int u, std::span<const int> cells) {
       MobileUser& mu =
           cells_[static_cast<std::size_t>(c)]->band_admit(uid, false);
       band_scratch_.push_back(BandPilot{
-          c, static_cast<std::uint32_t>(mu.channel().index()), 0.0, true});
+          c, static_cast<std::uint32_t>(mu.slot()), 0.0, true});
     }
   }
   while (i < band.size()) {
@@ -308,14 +295,6 @@ void CellularWorld::update_outage_flags(common::Time t) {
 double CellularWorld::mean_snr_at_distance_db(double d_m) const {
   const double d_sq = std::max(d_m * d_m, min_distance_sq_m2_);
   return path_loss_c_db_ - path_loss_half_k_ * std::log(d_sq);
-}
-
-void CellularWorld::for_each_cell(const std::function<void(std::size_t)>& fn) {
-  if (pool_) {
-    pool_->for_each(cells_.size(), fn);
-  } else {
-    for (std::size_t c = 0; c < cells_.size(); ++c) fn(c);
-  }
 }
 
 void CellularWorld::update_cell_snr_plane(int c) {
@@ -393,7 +372,7 @@ void CellularWorld::note_interference_epochs() {
 }
 
 void CellularWorld::update_snr_planes() {
-  for_each_cell([this](std::size_t c) {
+  pool_->for_each(cells_.size(), [this](std::size_t c) {
     update_cell_snr_plane(static_cast<int>(c));
   });
   note_interference_epochs();
@@ -545,46 +524,30 @@ void CellularWorld::apply_attachment_moves() {
       std::min<std::size_t>(num_shards_, attached_.size());
   for (std::size_t s = 0; s < shards; ++s) {
     for (const AttachMove& m : shard_arenas_[s].moves) {
-      const int from = attached_[static_cast<std::size_t>(m.user)];
-      if (m.evict) {
-        evict(static_cast<common::UserId>(m.user), from, m.to);
-      } else {
-        handoff(static_cast<common::UserId>(m.user), from, m.to);
-      }
+      move_user(static_cast<common::UserId>(m.user),
+                attached_[static_cast<std::size_t>(m.user)], m.to, m.evict);
     }
   }
 }
 
-void CellularWorld::handoff(common::UserId user, int from, int to) {
+void CellularWorld::move_user(common::UserId user, int from, int to,
+                              bool outage) {
   auto& source = *cells_[static_cast<std::size_t>(from)];
   auto& target = *cells_[static_cast<std::size_t>(to)];
   // Carry the service state over, then drop what cannot survive the break:
   // the in-flight voice packet dies in transit (counted by the source cell
-  // as voice_dropped_handoff); the data backlog rides along.
+  // as voice_dropped_handoff, or voice_dropped_outage for an eviction);
+  // the data backlog rides along. The target side counts handoffs_in
+  // either way, so world-wide:
+  // sum(handoffs_in) == sum(handoffs_out) + sum(evictions).
   target.user(user).adopt_service_state(source.user(user));
   target.user(user).drop_pending_voice();
-  source.detach_user(user);
+  source.detach_user(user, outage);
   target.attach_user(user);
   attached_[static_cast<std::size_t>(user)] = to;
   --attach_counts_[static_cast<std::size_t>(from)];
   ++attach_counts_[static_cast<std::size_t>(to)];
-  ++handoffs_;
-}
-
-void CellularWorld::evict(common::UserId user, int from, int to) {
-  // Same state carry as a handoff, but the source books the move as an
-  // outage eviction (in-flight voice -> voice_dropped_outage, not a
-  // hysteresis handoff). The target side still counts handoffs_in, so
-  // world-wide: sum(handoffs_in) == sum(handoffs_out) + sum(evictions).
-  auto& source = *cells_[static_cast<std::size_t>(from)];
-  auto& target = *cells_[static_cast<std::size_t>(to)];
-  target.user(user).adopt_service_state(source.user(user));
-  target.user(user).drop_pending_voice();
-  source.evict_user(user);
-  target.attach_user(user);
-  attached_[static_cast<std::size_t>(user)] = to;
-  --attach_counts_[static_cast<std::size_t>(from)];
-  ++attach_counts_[static_cast<std::size_t>(to)];
+  if (!outage) ++handoffs_;
 }
 
 void CellularWorld::apply_traffic_modulation(common::Time t) {
@@ -671,7 +634,8 @@ void CellularWorld::run_window(common::Time duration) {
     }
     {
       PhaseTimer timer(timings_.cell_plane_s);
-      for_each_cell([this, dt](std::size_t c) { cells_[c]->advance_by(dt); });
+      pool_->for_each(cells_.size(),
+                      [this, dt](std::size_t c) { cells_[c]->advance_by(dt); });
     }
     ++timings_.epochs;
     now_ += dt;

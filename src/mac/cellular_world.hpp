@@ -232,7 +232,7 @@ class CellularWorld {
   /// user must be resident in cell `c`'s band.
   double interference_db(common::UserId user, int c) const {
     auto& cell = *cells_.at(static_cast<std::size_t>(c));
-    return cell.channel_bank().interference_db(cell.user(user).channel().index());
+    return cell.channel_bank().interference_db(cell.user(user).slot());
   }
   /// The aggregate load (activity × attached users) cell `c` contributed
   /// to the current epoch's interference plane.
@@ -241,7 +241,7 @@ class CellularWorld {
   }
   const MobilityModel& mobility() const { return mobility_; }
   common::Time now() const { return now_; }
-  unsigned thread_count() const { return pool_ ? pool_->thread_count() : 1; }
+  unsigned thread_count() const { return pool_->thread_count(); }
   /// Resolved coordinator shard count (num_shards after the 0 = auto and
   /// population clamps).
   unsigned shard_count() const { return num_shards_; }
@@ -264,8 +264,8 @@ class CellularWorld {
     return !dark_.empty() && dark_[static_cast<std::size_t>(c)] != 0;
   }
   /// Number of users currently attached to cell `c` — an O(1) read of the
-  /// per-cell counter maintained by initialize_attachments / handoff /
-  /// evict (debug builds reconcile it against the full scan).
+  /// per-cell counter maintained by initialize_attachments / move_user
+  /// (debug builds reconcile it against the full scan).
   int attached_count(int c) const;
 
   /// Cells whose pilot band currently contains `user`, ascending — test
@@ -316,9 +316,8 @@ class CellularWorld {
   };
 
   /// Runs fn(shard, begin, end) over the contiguous user-id ranges of the
-  /// resolved shard decomposition — on the pool when configured, inline
-  /// otherwise. The decomposition depends only on (users, num_shards_),
-  /// never on the thread count.
+  /// resolved shard decomposition, on the pool. The decomposition depends
+  /// only on (users, num_shards_), never on the thread count.
   void for_each_user_shard(
       const std::function<void(std::size_t, std::size_t, std::size_t)>& fn);
 
@@ -386,25 +385,23 @@ class CellularWorld {
   /// One user's blend + decision; returns true when a move is proposed.
   bool decide_user(int u, ShardArena& arena, AttachMove& move);
   /// Coordinator replay of the proposed moves in ascending user-id order:
-  /// executes handoff/evict so every engine mutation (and RNG draw) lands
-  /// in the serial order.
+  /// executes move_user so every engine mutation (and RNG draw) lands in
+  /// the serial order.
   void apply_attachment_moves();
-  void handoff(common::UserId user, int from, int to);
+  /// Moves an attached user from cell `from` to cell `to`, carrying its
+  /// service state. A hysteresis handoff (`outage` false) counts toward
+  /// handoffs_; a forced move off a dark cell (`outage` true) is booked by
+  /// the source as an outage eviction (voice in flight ->
+  /// voice_dropped_outage) and is exempt from hysteresis.
+  void move_user(common::UserId user, int from, int to, bool outage);
   /// True when the outage schedule darkens cell `c` at time `t`.
   bool is_dark(int c, common::Time t) const;
   /// Rolls the per-epoch dark flags forward to epoch-start time `t`
   /// (prev_dark_ keeps the previous epoch's flags for the recovery reset).
   void update_outage_flags(common::Time t);
-  /// Forced move off a dark cell: like handoff, but counted as an outage
-  /// eviction (voice in flight -> voice_dropped_outage) and exempt from
-  /// hysteresis.
-  void evict(common::UserId user, int from, int to);
   /// Rescales every user's traffic sources from the modulation config and
   /// its current position (coordinator step; no-op for kNone).
   void apply_traffic_modulation(common::Time t);
-  /// Runs fn(c) for every cell — on the pool when configured, inline
-  /// otherwise.
-  void for_each_cell(const std::function<void(std::size_t)>& fn);
   void run_window(common::Time duration);
 
   CellularConfig config_;
@@ -412,7 +409,7 @@ class CellularWorld {
   SiteLayout layout_;
   SiteIndex site_index_;
   MobilityModel mobility_;
-  std::unique_ptr<experiment::WorkerPool> pool_;  ///< null when serial
+  std::unique_ptr<experiment::WorkerPool> pool_;
   std::vector<int> attached_;          ///< per-user cell index
   /// Per-user band residencies, ascending by cell — the sparse
   /// replacement for the dense users×cells filtered-pilot plane.

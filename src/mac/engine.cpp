@@ -106,7 +106,7 @@ MobileUser& ProtocolEngine::band_admit(common::UserId id,
   auto u = std::make_unique<MobileUser>(id, service, params_, bank_, visit);
   // The bank decides the slot (fresh row or a reused free-list one); the
   // engine's storage mirrors the bank's rows one-for-one.
-  const std::size_t slot = u->channel().index();
+  const std::size_t slot = u->slot();
   if (slot == users_.size()) {
     users_.push_back(std::move(u));
   } else {
@@ -145,7 +145,7 @@ void ProtocolEngine::touch_channels(std::span<const common::UserId> users) {
   touch_slots_.clear();
   for (const common::UserId id : users) {
     touch_slots_.push_back(
-        static_cast<common::UserId>(user(id).channel().index()));
+        static_cast<common::UserId>(user(id).slot()));
   }
   bank_.materialize_users(touch_slots_);
 }
@@ -175,15 +175,16 @@ void ProtocolEngine::advance_by(common::Time duration) {
   now_ = end;
 }
 
-void ProtocolEngine::detach_user(common::UserId id) {
+void ProtocolEngine::detach_user(common::UserId id, bool outage) {
   auto& u = user(id);
   if (!u.present()) return;
   on_user_detached(id);
   requests_.remove(id);
   if (u.is_voice()) {
-    metrics_.voice_dropped_handoff += u.drop_pending_voice();
+    (outage ? metrics_.voice_dropped_outage
+            : metrics_.voice_dropped_handoff) += u.drop_pending_voice();
   }
-  ++metrics_.handoffs_out;
+  ++(outage ? metrics_.outage_evictions : metrics_.handoffs_out);
   u.set_present(false);
 }
 
@@ -206,18 +207,6 @@ void ProtocolEngine::attach_user_initial(common::UserId id) {
   u.set_present(true);
   assert(!requests_.contains(id));
   on_user_attached(id);
-}
-
-void ProtocolEngine::evict_user(common::UserId id) {
-  auto& u = user(id);
-  if (!u.present()) return;
-  on_user_detached(id);
-  requests_.remove(id);
-  if (u.is_voice()) {
-    metrics_.voice_dropped_outage += u.drop_pending_voice();
-  }
-  ++metrics_.outage_evictions;
-  u.set_present(false);
 }
 
 common::Time ProtocolEngine::frame_tick() {
@@ -412,8 +401,7 @@ void ProtocolEngine::note_pilot_energy() {
 }
 
 channel::CsiEstimate ProtocolEngine::estimate_csi(MobileUser& u) {
-  return csi_estimator_.estimate(u.channel().snr_linear(), now_,
-                                 u.rng());
+  return csi_estimator_.estimate(bank_.snr_linear(u.slot()), now_, u.rng());
 }
 
 std::optional<int> ProtocolEngine::fresh_mode_estimate(MobileUser& u) {
@@ -426,7 +414,8 @@ void ProtocolEngine::transmit_voice_fixed(MobileUser& u) {
     note_wasted_slot();
     return;  // device stays silent: no energy spent
   }
-  book_voice(u, fixed_phy_.transmit_packet(u.channel().snr_linear(), u.rng()));
+  book_voice(u,
+             fixed_phy_.transmit_packet(bank_.snr_linear(u.slot()), u.rng()));
 }
 
 void ProtocolEngine::transmit_voice_adaptive(MobileUser& u, int mode) {
@@ -440,7 +429,7 @@ void ProtocolEngine::transmit_voice_adaptive(MobileUser& u, int mode) {
     return;
   }
   book_voice(u, adaptive_phy_.transmit_packet(
-                    mode, u.channel().snr_linear(), u.rng()));
+                    mode, bank_.snr_linear(u.slot()), u.rng()));
 }
 
 void ProtocolEngine::book_voice(MobileUser& u, bool ok) {
@@ -464,7 +453,7 @@ int ProtocolEngine::send_data(MobileUser& u, std::optional<int> mode,
     note_wasted_slot();
     return 0;
   }
-  const double snr = u.channel().snr_linear();
+  const double snr = bank_.snr_linear(u.slot());
   const common::Time t = now_;
   const int to_send = std::min(cap, src.backlog());
   int delivered = 0;

@@ -161,21 +161,17 @@ class ProtocolEngine {
 
   /// Removes the user from this cell's active population: the protocol
   /// releases any per-user state it holds (reservation, queued requests),
-  /// in-flight voice packets are dropped and counted as
-  /// voice_dropped_handoff, and the user stops generating traffic or
-  /// contending here. No-op when already detached.
-  void detach_user(common::UserId id);
+  /// the in-flight voice packet is dropped, and the user stops generating
+  /// traffic or contending here. A hysteresis handoff (`outage` false)
+  /// counts handoffs_out and voice_dropped_handoff; a forced removal
+  /// because this cell went dark (`outage` true) counts outage_evictions
+  /// and voice_dropped_outage instead. No-op when already detached.
+  void detach_user(common::UserId id, bool outage);
 
   /// (Re-)admits the user to this cell's active population. The caller is
   /// responsible for carrying the user's service state in first
   /// (MobileUser::adopt_service_state). No-op when already attached.
   void attach_user(common::UserId id);
-
-  /// Forced removal because this cell went dark (outage schedule): like
-  /// detach_user, but the move is counted as an outage eviction and the
-  /// in-flight voice as voice_dropped_outage rather than as a hysteresis
-  /// handoff. No-op when already detached.
-  void evict_user(common::UserId id);
 
   /// Records one decision epoch of the world's inter-cell interference
   /// plane for this cell: the mean SINR penalty (dB) across the per-user
@@ -210,8 +206,8 @@ class ProtocolEngine {
   UserBand users() { return {band_, users_}; }
   MobileUser& user(common::UserId id);
 
-  /// The shared SoA channel state all users' channels view into; exposed
-  /// for benchmarks and tests of the batched hot path.
+  /// The shared SoA channel state; row MobileUser::slot() is that user's
+  /// channel. Exposed for benchmarks and tests of the batched hot path.
   channel::ChannelBank& channel_bank() { return bank_; }
   const channel::ChannelBank& channel_bank() const { return bank_; }
 
@@ -387,7 +383,7 @@ class ProtocolEngine {
 
   ScenarioParams params_;
   FrameGeometry geom_;
-  channel::ChannelBank bank_;  // declared before users_: views into it
+  channel::ChannelBank bank_;  // row u.slot() is user u's channel
   // Slot-indexed storage mirroring the bank's rows one-for-one (null at
   // vacant slots), plus the ascending-id membership index over it. In the
   // dense population slot == id and band_ is the identity.

@@ -24,10 +24,8 @@ std::uint64_t visit_seed(std::uint64_t seed, std::uint32_t visit) {
 // it always derives from the *plain* scenario seed — a band re-entry must
 // not teleport the device — and from its own stream, so drawing it moves
 // no channel draw.
-channel::UserChannel make_channel(common::UserId id,
-                                  const ScenarioParams& params,
-                                  std::uint64_t seed,
-                                  channel::ChannelBank& bank) {
+std::size_t acquire_channel(common::UserId id, const ScenarioParams& params,
+                            std::uint64_t seed, channel::ChannelBank& bank) {
   const std::size_t slot = bank.acquire_user(common::RngStream(
       seed, kChannelStream + static_cast<std::uint64_t>(id)));
   if (params.snr_spread_db > 0.0) {
@@ -36,7 +34,7 @@ channel::UserChannel make_channel(common::UserId id,
     bank.set_mean_snr_db(
         slot, bank.mean_snr_db(slot) + rng.normal(0.0, params.snr_spread_db));
   }
-  return channel::UserChannel(bank, slot);
+  return slot;
 }
 }  // namespace
 
@@ -46,7 +44,7 @@ MobileUser::MobileUser(common::UserId id, ServiceType service,
     : id_(id),
       service_(service),
       seed_(visit_seed(params.seed, visit)),
-      channel_(make_channel(id, params, seed_, bank)) {}
+      slot_(acquire_channel(id, params, seed_, bank)) {}
 
 void MobileUser::ensure_traffic(const ScenarioParams& params) {
   if (!rng_.has_value()) {

@@ -20,7 +20,7 @@
 #include <memory>
 #include <optional>
 
-#include "channel/user_channel.hpp"
+#include "channel/channel_bank.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "mac/scenario.hpp"
@@ -50,8 +50,10 @@ class MobileUser {
   bool is_voice() const { return service_ == ServiceType::kVoice; }
   bool is_data() const { return service_ == ServiceType::kData; }
 
-  channel::UserChannel& channel() { return channel_; }
-  const channel::UserChannel& channel() const { return channel_; }
+  /// The user's channel row in the bank it was constructed against — the
+  /// engine's storage index for band-resident users (slot == user id only
+  /// in a full, never-released population).
+  std::size_t slot() const { return slot_; }
 
   traffic::VoiceSource& voice() { return *voice_; }
   const traffic::VoiceSource& voice() const { return *voice_; }
@@ -122,7 +124,7 @@ class MobileUser {
   ServiceType service_;
   std::uint64_t seed_;  // visit-derived scenario seed (visit 0: the plain one)
   std::optional<common::TrafficRng> rng_;
-  channel::UserChannel channel_;
+  std::size_t slot_;  // channel row in the cell's ChannelBank
   std::unique_ptr<traffic::VoiceSource> voice_;
   std::unique_ptr<traffic::DataSource> data_;
 };

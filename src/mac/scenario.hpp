@@ -5,7 +5,7 @@
 
 #include <cstdint>
 
-#include "channel/user_channel.hpp"
+#include "channel/channel_bank.hpp"
 #include "common/rng.hpp"
 #include "mac/barring.hpp"
 #include "mac/energy.hpp"

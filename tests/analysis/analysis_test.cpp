@@ -6,7 +6,7 @@
 #include "analysis/fading_statistics.hpp"
 #include "analysis/slotted_aloha.hpp"
 #include "analysis/voice_capacity.hpp"
-#include "channel/user_channel.hpp"
+#include "channel/channel_bank.hpp"
 #include "common/math.hpp"
 #include "common/rng.hpp"
 #include "mac/contention.hpp"
@@ -121,12 +121,13 @@ TEST(FadingStatistics, SimulatorMatchesAnalyticOccupancy) {
   const auto table = phy::ModeTable::abicm6();
   const auto analytic = mode_occupancy(cfg, table);
 
-  channel::UserChannel ch(cfg, common::RngStream(42));
+  channel::ChannelBank ch(cfg);  // one device: row 0
+  ch.acquire_user(common::RngStream(42));
   std::vector<double> empirical(7, 0.0);
   const int steps = 400000;
   for (int i = 1; i <= steps; ++i) {
-    ch.advance_to(static_cast<double>(i) * 2.5e-3);
-    const auto mode = table.select(ch.snr_linear());
+    ch.advance_all_to(static_cast<double>(i) * 2.5e-3);
+    const auto mode = table.select(ch.snr_linear(0));
     ++empirical[static_cast<std::size_t>(mode ? *mode + 1 : 0)];
   }
   for (auto& p : empirical) p /= steps;
@@ -140,12 +141,13 @@ TEST(FadingStatistics, MeanThroughputMatchesSimulation) {
   const auto table = phy::ModeTable::abicm6();
   const double analytic = mean_adaptive_throughput(cfg, table);
 
-  channel::UserChannel ch(cfg, common::RngStream(43));
+  channel::ChannelBank ch(cfg);  // one device: row 0
+  ch.acquire_user(common::RngStream(43));
   double sum = 0.0;
   const int steps = 400000;
   for (int i = 1; i <= steps; ++i) {
-    ch.advance_to(static_cast<double>(i) * 2.5e-3);
-    sum += table.normalized_throughput(table.select(ch.snr_linear()));
+    ch.advance_all_to(static_cast<double>(i) * 2.5e-3);
+    sum += table.normalized_throughput(table.select(ch.snr_linear(0)));
   }
   EXPECT_NEAR(sum / steps, analytic, 0.05);
   // And it sits in the "roughly 2-3x the fixed PHY" band of DESIGN.md.

@@ -38,7 +38,7 @@ ChannelBank make_bank(int users, std::uint64_t seed0) {
   ChannelBank bank(test_config());
   bank.reserve(static_cast<std::size_t>(users));
   for (int u = 0; u < users; ++u) {
-    bank.add_user(common::RngStream(seed0 + static_cast<std::uint64_t>(u)));
+    bank.acquire_user(common::RngStream(seed0 + static_cast<std::uint64_t>(u)));
   }
   return bank;
 }
@@ -83,7 +83,9 @@ TEST(LazyBank, DeferredClockPlusMaterializeEqualsOneJump) {
     }
     // First read materializes: one jump of stride k.
     ASSERT_GT(lazy.fading_power(1), 0.0);
-    eager.advance_user_to(1, static_cast<double>(k) * kDt);
+    // Reference: the eager bulk advance. Rows are independent, so user 1
+    // takes the same single k-jump there.
+    eager.advance_all_to(static_cast<double>(k) * kDt);
 
     ASSERT_EQ(lazy.current_step(1), static_cast<std::int64_t>(k));
     for (int br = 0; br < 4; ++br) {
@@ -130,7 +132,8 @@ TEST(LazyBank, OnReadMatchesBatchedTouch) {
     for (int u = f % 3; u < n; u += 3) {
       touched.push_back(static_cast<common::UserId>(u));
     }
-    batched.advance_users_to(touched, t);
+    batched.set_time(t);
+    batched.materialize_users(touched);
     on_read.set_time(t);
     for (auto it = touched.rbegin(); it != touched.rend(); ++it) {
       ASSERT_GT(on_read.snr_linear(static_cast<std::size_t>(*it)), 0.0);
@@ -150,7 +153,8 @@ TEST(LazyBank, CounterAccounting) {
   bank.set_lazy(true);
   const common::UserId zero[] = {0};
   for (int f = 1; f <= 9; ++f) {
-    bank.advance_users_to(zero, static_cast<double>(f) * kDt);
+    bank.set_time(static_cast<double>(f) * kDt);
+    bank.materialize_users(zero);
   }
   bank.advance_all_to(10 * kDt);
   const auto stats = bank.lazy_stats();
@@ -178,10 +182,9 @@ TEST(LazyBank, GuardsAndErrors) {
   const common::UserId dupes[] = {0, 0, 1};
   EXPECT_NO_THROW(bank.materialize_users(dupes));
 
-  // Eager semantics preserved: a user advanced ahead of a later bulk
-  // advance still trips the legacy backwards-time guard.
+  // Eager banks share the guard: a bulk advance to an earlier time throws.
   auto eager = make_bank(2, 900);
-  eager.advance_user_to(0, 10 * kDt);
+  eager.advance_all_to(10 * kDt);
   EXPECT_THROW(eager.advance_all_to(5 * kDt), std::logic_error);
 }
 
@@ -203,7 +206,8 @@ TEST(LazyBank, MaterializeVacantSlotThrows) {
     EXPECT_NE(std::string(e.what()).find("slot 2"), std::string::npos)
         << e.what();
   }
-  EXPECT_THROW(bank.advance_users_to(stale, 7 * kDt), std::logic_error);
+  bank.set_time(7 * kDt);
+  EXPECT_THROW(bank.materialize_users(stale), std::logic_error);
   const auto after = bank.lazy_stats();
   EXPECT_EQ(after.jump_events, before.jump_events);
   EXPECT_EQ(after.jump_frames, before.jump_frames);
@@ -216,29 +220,38 @@ TEST(LazyBank, MaterializeVacantSlotThrows) {
   EXPECT_EQ(bank.lazy_stats().jump_events, before.jump_events + 3);
 }
 
-TEST(LazyBank, BackwardsTimeNamesTheEntryPoint) {
-  // The backwards-time guard is shared by the bulk and the touch-set paths;
-  // its message names the call that was actually made.
-  auto bank = make_bank(2, 1100);
-  bank.advance_user_to(0, 10 * kDt);  // eager: row 0 runs ahead of the clock
-  bank.set_time(5 * kDt);
-  const common::UserId zero[] = {0};
-  for (const auto& [name, call] :
-       std::vector<std::pair<std::string, std::function<void()>>>{
-           {"ChannelBank::materialize_users",
-            [&] { bank.materialize_users(zero); }},
-           {"ChannelBank::advance_users_to",
-            [&] { bank.advance_users_to(zero, 5 * kDt); }},
-           {"ChannelBank::materialize_all", [&] { bank.materialize_all(); }},
-           {"ChannelBank::advance_all_to",
-            [&] { bank.advance_all_to(5 * kDt); }},
-       }) {
-    try {
-      call();
-      ADD_FAILURE() << name << " did not throw";
-    } catch (const std::logic_error& e) {
-      EXPECT_EQ(std::string(e.what()), name + ": time went backwards");
+TEST(LazyBank, BackwardsTimeIsRejectedByTheOneClock) {
+  // A bank has one clock and no row ever runs ahead of it, so the clock
+  // move is the only backwards-time guard: every entry point that takes a
+  // time reports it under set_time's name, in both modes, and a rejected
+  // call moves neither the clock nor any row.
+  for (const bool lazy : {false, true}) {
+    SCOPED_TRACE(lazy ? "lazy" : "eager");
+    auto bank = make_bank(2, 1100);
+    bank.set_lazy(lazy);
+    bank.advance_all_to(10 * kDt);
+    const auto before = bank.lazy_stats();
+    for (const auto& [name, call] :
+         std::vector<std::pair<std::string, std::function<void()>>>{
+             {"set_time", [&] { bank.set_time(5 * kDt); }},
+             {"advance_all_to", [&] { bank.advance_all_to(5 * kDt); }},
+         }) {
+      try {
+        call();
+        ADD_FAILURE() << name << " did not throw";
+      } catch (const std::logic_error& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "ChannelBank::set_time: time went backwards")
+            << name;
+      }
     }
+    EXPECT_EQ(bank.lazy_stats().jump_events, before.jump_events);
+    EXPECT_EQ(bank.current_step(0), 10);
+    EXPECT_EQ(bank.current_step(1), 10);
+    // The clock still moves forward from where it was.
+    bank.advance_all_to(11 * kDt);
+    EXPECT_EQ(bank.current_step(0), 11);
+    EXPECT_EQ(bank.lazy_stats().jump_events, before.jump_events + 2);
   }
 }
 

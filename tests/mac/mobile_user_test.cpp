@@ -66,9 +66,9 @@ TEST(MobileUser, ReproducibleAcrossConstructions) {
   for (int i = 0; i < 50; ++i) {
     EXPECT_DOUBLE_EQ(a.rng().uniform(), b.rng().uniform());
   }
-  a.channel().advance_to(0.1);
-  b.channel().advance_to(0.1);
-  EXPECT_DOUBLE_EQ(a.channel().snr_linear(), b.channel().snr_linear());
+  bank_a.advance_all_to(0.1);
+  bank_b.advance_all_to(0.1);
+  EXPECT_DOUBLE_EQ(bank_a.snr_linear(a.slot()), bank_b.snr_linear(b.slot()));
 }
 
 TEST(MobileUser, BackoffDynamics) {

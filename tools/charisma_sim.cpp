@@ -20,6 +20,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "charisma.hpp"
@@ -251,6 +252,15 @@ mac::ScenarioParams scenario_from(const common::KeyValueConfig& config) {
       config.get_int_or("info_slots", params.geometry.num_info_slots);
   params.geometry.num_pilot_slots =
       config.get_int_or("pilot_slots", params.geometry.num_pilot_slots);
+  if (params.geometry.num_request_slots < 1) {
+    throw std::invalid_argument("request_slots= must be >= 1");
+  }
+  if (params.geometry.num_info_slots < 1) {
+    throw std::invalid_argument("info_slots= must be >= 1");
+  }
+  if (params.geometry.num_pilot_slots < 0) {
+    throw std::invalid_argument("pilot_slots= must be >= 0");
+  }
 
   params.mean_talkspurt_s =
       config.get_double_or("talkspurt_s", params.mean_talkspurt_s);
@@ -264,6 +274,12 @@ mac::ScenarioParams scenario_from(const common::KeyValueConfig& config) {
       config.get_double_or("pv", params.voice_permission_prob);
   params.data_permission_prob =
       config.get_double_or("pd", params.data_permission_prob);
+  for (const auto& [knob, p] : {std::pair{"pv", params.voice_permission_prob},
+                                std::pair{"pd", params.data_permission_prob}}) {
+    if (!(p > 0.0 && p <= 1.0)) {
+      throw std::invalid_argument(std::string(knob) + "= must be in (0, 1]");
+    }
+  }
 
   const double overload = config.get_double_or("overload", 1.0);
   if (overload <= 0.0) {
@@ -303,6 +319,10 @@ core::CharismaOptions charisma_options_from(
                          : core::FairnessMode::kNone;
   options.enable_csi_refresh = config.get_bool_or("csi_refresh", true);
   options.csi_poll_budget = config.get_int_or("poll_budget", -1);
+  if (options.csi_poll_budget < -1) {
+    throw std::invalid_argument(
+        "poll_budget= must be >= 0 (-1 = use the geometry)");
+  }
   options.priority.alpha_voice =
       config.get_double_or("alpha_voice", options.priority.alpha_voice);
   options.priority.alpha_data =
@@ -340,6 +360,9 @@ mac::CellularConfig cellular_from(const common::KeyValueConfig& config,
   }
   world.handoff_hysteresis_db = config.get_double_or(
       "handoff_hysteresis_db", world.handoff_hysteresis_db);
+  if (!(world.handoff_hysteresis_db >= 0.0)) {
+    throw std::invalid_argument("handoff_hysteresis_db= must be >= 0");
+  }
   const double kmh = config.get_double_or("kmh", 50.0);
   world.mobility.speed_mps = common::km_per_hour(kmh);
   if (!config.contains("kmh") && !config.contains("doppler_hz")) {
@@ -375,6 +398,10 @@ mac::CellularConfig cellular_from(const common::KeyValueConfig& config,
   // keeps its historical interference-free behaviour unless asked.
   world.interference_activity =
       config.get_double_or("interference", hex ? 0.4 : 0.0);
+  if (!(world.interference_activity >= 0.0 &&
+        world.interference_activity <= 1.0)) {
+    throw std::invalid_argument("interference= must be in [0, 1]");
+  }
 
   if (auto spec = config.get_string("outage")) {
     std::stringstream stream(*spec);
@@ -544,6 +571,12 @@ int main(int argc, char** argv) {
     spec.params = scenario_from(config);
     spec.warmup_s = config.get_double_or("warmup", 4.0);
     spec.measure_s = config.get_double_or("measure", 12.0);
+    if (!(spec.warmup_s >= 0.0)) {
+      throw std::invalid_argument("warmup= must be >= 0");
+    }
+    if (!(spec.measure_s > 0.0)) {
+      throw std::invalid_argument("measure= must be > 0");
+    }
     spec.replications = config.get_int_or("replications", 1);
     if (spec.replications < 1) {
       throw std::invalid_argument("replications= must be >= 1");

@@ -7,6 +7,8 @@ set -u
 
 sim=${1:?usage: cli_reject_smoke.sh path/to/charisma_sim}
 # Small enough that a build which wrongly accepts a case still exits fast.
+# Passed before each case's own arguments: the last value of a repeated key
+# wins, so a case may override warmup= or measure=.
 small="voice_users=4 data_users=0 warmup=0 measure=0.05"
 failures=0
 
@@ -14,7 +16,7 @@ failures=0
 expect_reject() {
   knob=$1
   shift
-  err=$("$sim" "$@" $small 2>&1 >/dev/null)
+  err=$("$sim" $small "$@" 2>&1 >/dev/null)
   status=$?
   if [ "$status" -eq 0 ]; then
     echo "cli_reject_smoke: accepted: $*" >&2
@@ -35,10 +37,21 @@ expect_reject kmh kmh=-5
 expect_reject doppler_hz doppler_hz=0
 expect_reject diversity diversity=0
 expect_reject shadow_sigma_db shadow_sigma_db=-1
+expect_reject interference cells=3 interference=2
+expect_reject handoff_hysteresis_db cells=3 handoff_hysteresis_db=-1
+expect_reject pv pv=0
+expect_reject pd pd=1.5
+expect_reject request_slots request_slots=0
+expect_reject info_slots info_slots=0
+expect_reject pilot_slots pilot_slots=-1
+expect_reject measure measure=0
+expect_reject warmup warmup=-1
+# Only -1 means "use the geometry"; other negatives must not run as it.
+expect_reject poll_budget poll_budget=-5
 
 # expect_accept ARGS...: the run must exit 0.
 expect_accept() {
-  if ! "$sim" "$@" $small >/dev/null 2>&1; then
+  if ! "$sim" $small "$@" >/dev/null 2>&1; then
     echo "cli_reject_smoke: rejected: $*" >&2
     failures=$((failures + 1))
   fi
