@@ -1,6 +1,7 @@
 // Engine micro-benchmarks (google-benchmark): the hot paths of the common
 // simulation platform — per-frame channel evolution, contention
-// resolution, and one full protocol frame for each protocol.
+// resolution, one simulated second per protocol, and the steady-state MAC
+// frame per protocol (BM_ProtocolFrame).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -176,12 +177,14 @@ void BM_ContentionPhase(benchmark::State& state) {
     candidates.push_back(i);
     rngs.emplace_back(static_cast<std::uint64_t>(i) + 7);
   }
+  mac::ContentionOutcome outcome;
   for (auto _ : state) {
-    auto outcome = mac::run_request_phase(
+    mac::run_request_phase(
         candidates, 12, [](common::UserId) { return 0.3; },
         [&rngs](common::UserId id) -> common::RngStream& {
           return rngs[static_cast<std::size_t>(id)];
-        });
+        },
+        outcome);
     benchmark::DoNotOptimize(outcome);
   }
   state.SetItemsProcessed(state.iterations() * 12);
@@ -223,6 +226,43 @@ BENCHMARK(BM_ProtocolSecond<protocols::ProtocolId::kRama>)
     ->Name("BM_ProtocolSecond/RAMA")->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ProtocolSecond<protocols::ProtocolId::kRmav>)
     ->Name("BM_ProtocolSecond/RMAV")->Unit(benchmark::kMillisecond);
+
+template <protocols::ProtocolId kId>
+void BM_ProtocolFrame(benchmark::State& state) {
+  // The MAC frame per protocol at the Fig. 11 operating point N_v = 90,
+  // N_d = 10, request queue on: one engine, warmed up for 5 simulated
+  // seconds (talkspurts, backlogs, reservations and every scratch list at
+  // steady state), then stepped a nominal 2.5 ms frame per iteration.
+  // Items are frames, so items_per_second is frames/s (RMAV's
+  // variable-length frames count one each).
+  mac::ScenarioParams params;
+  params.num_voice_users = 90;
+  params.num_data_users = 10;
+  params.seed = 11;
+  params.request_queue = true;
+  auto engine = protocols::make_protocol(kId, params);
+  engine->advance_by(5.0);
+  const std::int64_t frames_before = engine->metrics().frames;
+  const double frame = params.geometry.frame_duration;
+  for (auto _ : state) {
+    engine->advance_by(frame);
+  }
+  state.SetItemsProcessed(engine->metrics().frames - frames_before);
+}
+BENCHMARK(BM_ProtocolFrame<protocols::ProtocolId::kCharisma>)
+    ->Name("BM_ProtocolFrame/CHARISMA");
+BENCHMARK(BM_ProtocolFrame<protocols::ProtocolId::kDtdmaVr>)
+    ->Name("BM_ProtocolFrame/DTDMA_VR");
+BENCHMARK(BM_ProtocolFrame<protocols::ProtocolId::kDtdmaFr>)
+    ->Name("BM_ProtocolFrame/DTDMA_FR");
+BENCHMARK(BM_ProtocolFrame<protocols::ProtocolId::kDrma>)
+    ->Name("BM_ProtocolFrame/DRMA");
+BENCHMARK(BM_ProtocolFrame<protocols::ProtocolId::kRama>)
+    ->Name("BM_ProtocolFrame/RAMA");
+BENCHMARK(BM_ProtocolFrame<protocols::ProtocolId::kRmav>)
+    ->Name("BM_ProtocolFrame/RMAV");
+BENCHMARK(BM_ProtocolFrame<protocols::ProtocolId::kPrma>)
+    ->Name("BM_ProtocolFrame/PRMA");
 
 }  // namespace
 

@@ -248,11 +248,16 @@ void ChannelBank::materialize_batch(const Index* ids, std::size_t n) {
 }
 
 void ChannelBank::materialize_all() {
+  // Nothing to do while the clock has not moved since the last full pass:
+  // every row then sits at the clock (rows are seeded there and never run
+  // ahead of it). A variable-frame engine's sub-step frames take this exit.
+  if (all_at_step_ == target_step_) return;
   // "All" means all *active* rows: vacant rows must never advance (their
   // next acquire re-seeds them) nor count toward the jump accounting. With
   // no vacancies the batch is the historical full iota, bit for bit.
   refresh_active();
   materialize_batch(scratch_ids_.data(), scratch_ids_.size());
+  all_at_step_ = target_step_;
 }
 
 void ChannelBank::materialize_users(std::span<const common::UserId> slots) {

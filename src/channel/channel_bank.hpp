@@ -316,6 +316,9 @@ class ChannelBank {
   // computes one floor() and ensure_user is one array load + a compare.
   bool lazy_ = false;
   std::int64_t target_step_ = 0;
+  // The clock step of the last completed materialize_all: while it equals
+  // target_step_, every active row is already at the clock.
+  std::int64_t all_at_step_ = 0;
   // Ascending active-slot list fed to the batch loop and the bulk
   // loops. With no vacancies it is the iota over all slots (the historical
   // materialize_all batch, bit for bit); rebuilt lazily after any

@@ -1,9 +1,8 @@
 #include "core/charisma.hpp"
 
-#include <cassert>
 #include <algorithm>
+#include <cassert>
 #include <cmath>
-#include <vector>
 
 namespace charisma::core {
 
@@ -46,7 +45,7 @@ void CharismaProtocol::release_finished_talkspurts() {
   for (auto it = reservations_.begin(); it != reservations_.end();) {
     auto& u = user(it->first);
     if (!u.voice().in_talkspurt() && !u.voice().has_packet()) {
-      requests_.remove(it->first);
+      requests_.remove(u.slot());
       it = reservations_.erase(it);
     } else {
       ++it;
@@ -63,14 +62,13 @@ void CharismaProtocol::generate_voice_auto_requests() {
     if (now() + kTimeEps < reservation.next_request_at) continue;
     auto& u = user(uid);
     if (!u.voice().has_packet()) continue;  // packet already expired
-    if (requests_.contains(uid)) continue;  // previous request still queued
+    const std::size_t slot = u.slot();
+    if (requests_.contains(slot)) continue;  // previous request still queued
     mac::PendingRequest request = request_for(u);
     // The auto request carries no fresh pilots; it inherits the base
     // station's cached estimate and is a natural candidate for the §4.4
     // CSI poll.
-    auto cached = csi_cache_.find(uid);
-    request.csi = cached != csi_cache_.end() ? cached->second
-                                             : channel::CsiEstimate{};
+    request.csi = cached_csi(slot);
     requests_.push(request);
     reservation.next_request_at = u.voice().next_packet_at();
     reservation.requested_packet_at = u.voice().packet().generated_at;
@@ -82,21 +80,42 @@ void CharismaProtocol::on_user_detached(common::UserId id) {
   // station (the engine drops its queued request); the target cell learns
   // the channel afresh.
   reservations_.erase(id);
-  csi_cache_.erase(id);
+  const std::size_t slot = user(id).slot();
+  if (slot < csi_cache_.size()) csi_cache_[slot] = channel::CsiEstimate{};
 }
 
 void CharismaProtocol::on_user_attached([[maybe_unused]] common::UserId id) {
   // A (re-)attaching user must arrive clean: any reservation or CSI
-  // history from an earlier stay was dropped on detach/band-release.
+  // history from an earlier stay — or from an earlier occupant of its
+  // slot — was dropped on detach.
   assert(reservations_.find(id) == reservations_.end());
-  assert(csi_cache_.find(id) == csi_cache_.end());
+  assert(!cached_csi(user(id).slot()).valid());
+}
+
+void CharismaProtocol::cache_csi(std::size_t slot,
+                                 const channel::CsiEstimate& estimate) {
+  if (slot >= csi_cache_.size()) csi_cache_.resize(slot + 1);
+  csi_cache_[slot] = estimate;
+}
+
+void CharismaProtocol::rank(std::vector<Ranked>& list) {
+  // (priority desc, queue position asc) is a strict total order, so an
+  // unstable sort yields exactly the stable sort's permutation.
+  std::sort(list.begin(), list.end(), [](const Ranked& a, const Ranked& b) {
+    return a.priority != b.priority ? a.priority > b.priority
+                                    : a.pos < b.pos;
+  });
 }
 
 void CharismaProtocol::run_contention_phase() {
-  std::vector<common::UserId> candidates;
+  // Room for every band member up front: the list (and the request
+  // phase's per-candidate scratch, sized to its capacity) then never
+  // grows while the band does not.
+  candidates_.reserve(band_size());
+  candidates_.clear();
   for (auto& u : users()) {
     if (!u.present()) continue;
-    if (requests_.contains(u.id())) continue;
+    if (requests_.contains(u.slot())) continue;
     if (u.is_voice()) {
       if (!u.voice().has_packet()) continue;
       const auto reservation = reservations_.find(u.id());
@@ -104,7 +123,7 @@ void CharismaProtocol::run_contention_phase() {
         // New talkspurt: the first packet always goes through contention,
         // gated by the overload barring controller.
         if (u.voice().in_talkspurt() && !barring_blocks(u)) {
-          candidates.push_back(u.id());
+          candidates_.push_back(u.id());
         }
       } else if (reservation->second.requested_packet_at ==
                      u.voice().packet().generated_at &&
@@ -112,21 +131,21 @@ void CharismaProtocol::run_contention_phase() {
         // The request for this packet was issued but is no longer pooled —
         // it was discarded unserved (no-queue mode). The device saw no
         // announcement and retries through the request slots.
-        candidates.push_back(u.id());
+        candidates_.push_back(u.id());
       }
     } else if (u.data().backlog() > 0 && !barring_blocks(u)) {
-      candidates.push_back(u.id());
+      candidates_.push_back(u.id());
     }
   }
 
-  auto outcome = run_contention(candidates, geom_.num_request_slots);
+  const auto& outcome = run_contention(candidates_, geom_.num_request_slots);
 
   for (common::UserId uid : outcome.winners) {
     auto& u = user(uid);
     // Request packets embed pilot symbols (Fig. 9a): the base station gets
     // a fresh CSI estimate with every successful request.
     const auto estimate = estimate_csi(u);
-    csi_cache_[uid] = estimate;
+    cache_csi(u.slot(), estimate);
 
     mac::PendingRequest request = request_for(u);
     request.csi = estimate;
@@ -145,30 +164,29 @@ void CharismaProtocol::refresh_backlog_csi() {
   if (!options_.enable_csi_refresh || poll_budget_ <= 0) return;
   // Short-list the backlog requests whose CSI has expired, by priority
   // (§4.4), and poll the top N_b through the pilot-symbol subframe.
-  std::vector<mac::PendingRequest*> stale;
-  for (auto& request : requests_.entries()) {
-    if (request.csi.expired(now(), csi_estimator_.validity())) {
-      stale.push_back(&request);
+  auto& entries = requests_.entries();
+  ranked_.clear();
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (entries[i].csi.expired(now(), csi_estimator_.validity())) {
+      ranked_.push_back({priority_of(entries[i]),
+                         static_cast<std::uint32_t>(i)});
     }
   }
-  std::stable_sort(stale.begin(), stale.end(),
-                   [this](const mac::PendingRequest* a,
-                          const mac::PendingRequest* b) {
-                     return priority_of(*a) > priority_of(*b);
-                   });
-  const auto polls =
-      std::min<std::size_t>(stale.size(), static_cast<std::size_t>(poll_budget_));
+  rank(ranked_);
+  const auto polls = std::min<std::size_t>(
+      ranked_.size(), static_cast<std::size_t>(poll_budget_));
   // The polled short-list is a dense read set (one pilot estimate each):
   // declare it to a lazy bank as one batch.
-  std::vector<common::UserId> polled;
-  polled.reserve(polls);
-  for (std::size_t i = 0; i < polls; ++i) polled.push_back(stale[i]->user);
-  touch_channels(polled);
+  polled_.clear();
   for (std::size_t i = 0; i < polls; ++i) {
-    auto& request = *stale[i];
+    polled_.push_back(entries[ranked_[i].pos].user);
+  }
+  touch_channels(polled_);
+  for (std::size_t i = 0; i < polls; ++i) {
+    auto& request = entries[ranked_[i].pos];
     const auto estimate = estimate_csi(user(request.user));
     request.csi = estimate;
-    csi_cache_[request.user] = estimate;
+    cache_csi(request.slot, estimate);
     ++metrics_.csi_polls;
     note_pilot_energy();  // the polled device transmits pilot symbols
   }
@@ -193,41 +211,40 @@ void CharismaProtocol::allocate_and_transmit() {
   // Rank the entire gathered pool (Fig. 8b) — this is the step no baseline
   // performs: slots go to the best (CSI, urgency) candidates rather than to
   // whoever happened to win contention first.
-  std::vector<mac::PendingRequest*> ranked;
-  ranked.reserve(requests_.size());
-  for (auto& request : requests_.entries()) ranked.push_back(&request);
-  std::stable_sort(ranked.begin(), ranked.end(),
-                   [this](const mac::PendingRequest* a,
-                          const mac::PendingRequest* b) {
-                     return priority_of(*a) > priority_of(*b);
-                   });
+  auto& entries = requests_.entries();
+  ranked_.clear();
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    ranked_.push_back({priority_of(entries[i]), static_cast<std::uint32_t>(i)});
+  }
+  rank(ranked_);
 
   int slots_left = geom_.num_info_slots;
-  std::vector<common::UserId> completed;
-  // Throughput each competitor was actually granted this frame, for the
-  // proportional-fair tracker (unserved competitors log zero).
-  std::unordered_map<common::UserId, double> granted;
-  for (auto* request : ranked) {
+  completed_.clear();
+  // Each competitor's Ranked::granted records the throughput it was
+  // actually granted this frame, for the proportional-fair tracker
+  // (unserved competitors keep zero).
+  for (auto& ranked : ranked_) {
     if (slots_left == 0) break;
-    if (!request->csi.valid()) continue;  // nothing to announce a mode from
-    const auto mode = adaptive_phy_.select_mode(request->csi.snr_linear);
+    auto& request = entries[ranked.pos];
+    if (!request.csi.valid()) continue;  // nothing to announce a mode from
+    const auto mode = adaptive_phy_.select_mode(request.csi.snr_linear);
     if (!mode || adaptive_phy_.packets_per_slot(*mode) < 1) {
       // Outage or sub-packet mode: allocating would waste the slot
       // (§5.3.1); defer until the CSI improves or the deadline purges it.
       continue;
     }
-    const bool stale = request->csi.expired(now(), csi_estimator_.validity());
-    auto& u = user(request->user);
-    if (request->type == mac::RequestType::kVoice) {
+    const bool stale = request.csi.expired(now(), csi_estimator_.validity());
+    auto& u = user(request.user);
+    if (request.type == mac::RequestType::kVoice) {
       if (!u.voice().has_packet()) {
-        completed.push_back(request->user);
+        completed_.push_back(request.slot);
         continue;
       }
       if (stale) ++metrics_.csi_stale_allocations;
       transmit_voice_adaptive(u, *mode);
-      granted[request->user] = adaptive_phy_.normalized_throughput(*mode);
+      ranked.granted = adaptive_phy_.normalized_throughput(*mode);
       --slots_left;
-      completed.push_back(request->user);
+      completed_.push_back(request.slot);
     } else {
       const int per_slot = adaptive_phy_.packets_per_slot(*mode);
       int max_slots = slots_left;
@@ -238,30 +255,28 @@ void CharismaProtocol::allocate_and_transmit() {
           std::ceil(static_cast<double>(u.data().backlog()) / per_slot));
       const int grant = std::min(max_slots, needed);
       if (grant <= 0) {
-        completed.push_back(request->user);
+        completed_.push_back(request.slot);
         continue;
       }
       if (stale) ++metrics_.csi_stale_allocations;
       for (int s = 0; s < grant; ++s) {
         transmit_data_adaptive(u, *mode, per_slot);
       }
-      granted[request->user] = adaptive_phy_.normalized_throughput(*mode);
+      ranked.granted = adaptive_phy_.normalized_throughput(*mode);
       slots_left -= grant;
-      request->packets_requested = u.data().backlog();
-      if (u.data().backlog() == 0) completed.push_back(request->user);
+      request.packets_requested = u.data().backlog();
+      if (u.data().backlog() == 0) completed_.push_back(request.slot);
     }
   }
   if (options_.fairness != FairnessMode::kNone) {
     // Proportional fair bookkeeping: every pooled competitor logs what it
     // actually got — the served their mode's rate, everyone else zero, so
     // a passed-over user's achieved average decays and its priority rises.
-    for (const auto* request : ranked) {
-      const auto it = granted.find(request->user);
-      fairness_.observe(request->user,
-                        it != granted.end() ? it->second : 0.0);
+    for (const auto& ranked : ranked_) {
+      fairness_.observe(entries[ranked.pos].user, ranked.granted);
     }
   }
-  for (common::UserId uid : completed) requests_.remove(uid);
+  for (const std::size_t slot : completed_) requests_.remove(slot);
 }
 
 }  // namespace charisma::core

@@ -10,10 +10,13 @@
 // per frame).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
+#include "common/recycling_allocator.hpp"
 #include "core/fairness.hpp"
 #include "core/priority.hpp"
 #include "mac/engine.hpp"
@@ -65,6 +68,17 @@ class CharismaProtocol : public mac::ProtocolEngine {
     common::Time requested_packet_at = -1.0;
   };
 
+  /// One pooled request in a frame's ranking: its Eq. (2) priority,
+  /// evaluated once, and its queue position, which breaks ties (the order
+  /// a stable sort by priority alone would keep). `granted` is the
+  /// throughput the request was served at this frame (0 = passed over),
+  /// for the proportional-fair tracker.
+  struct Ranked {
+    double priority = 0.0;
+    std::uint32_t pos = 0;
+    double granted = 0.0;
+  };
+
   void release_finished_talkspurts();
   void generate_voice_auto_requests();
   void run_contention_phase();
@@ -75,13 +89,37 @@ class CharismaProtocol : public mac::ProtocolEngine {
   /// estimate supports, fairness-adjusted when the extension is active.
   double throughput_estimate(const mac::PendingRequest& request) const;
   double priority_of(const mac::PendingRequest& request) const;
+  /// Sorts `list` by priority, highest first, ties in queue order.
+  static void rank(std::vector<Ranked>& list);
+
+  /// The base station's cached estimate for the user at storage slot
+  /// `slot`; a default (invalid) estimate when it has none.
+  channel::CsiEstimate cached_csi(std::size_t slot) const {
+    return slot < csi_cache_.size() ? csi_cache_[slot]
+                                    : channel::CsiEstimate{};
+  }
+  void cache_csi(std::size_t slot, const channel::CsiEstimate& estimate);
 
   CharismaOptions options_;
   int poll_budget_;
-  std::unordered_map<common::UserId, Reservation> reservations_;
-  /// Base station's per-user CSI cache (last pilot observation).
-  std::unordered_map<common::UserId, channel::CsiEstimate> csi_cache_;
+  /// Reservations by user id. Walked in bucket order by the auto-request
+  /// pass, which decides results; the recycling allocator leaves that
+  /// order alone and keeps talkspurt churn off the heap.
+  std::unordered_map<
+      common::UserId, Reservation, std::hash<common::UserId>,
+      std::equal_to<common::UserId>,
+      common::RecyclingAllocator<std::pair<const common::UserId, Reservation>>>
+      reservations_;
+  /// Base station's CSI cache (last pilot observation), indexed by storage
+  /// slot; a default CsiEstimate means "none".
+  std::vector<channel::CsiEstimate> csi_cache_;
   FairnessTracker fairness_;
+  // Per-frame scratch, reused across frames so the steady-state frame loop
+  // stays allocation-free.
+  std::vector<common::UserId> candidates_;  ///< this frame's contenders
+  std::vector<Ranked> ranked_;              ///< stale short-list, then pool
+  std::vector<common::UserId> polled_;      ///< CSI polls' touch set
+  std::vector<std::size_t> completed_;      ///< slots whose request is done
 };
 
 }  // namespace charisma::core

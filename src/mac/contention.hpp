@@ -6,6 +6,7 @@
 // same request phase.
 #pragma once
 
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -30,46 +31,59 @@ struct ContentionOutcome {
   /// the backoff stabilization.
   std::vector<common::UserId> transmitted;
   ContentionTally tally;
+  /// run_request_phase's per-candidate state (kWon / kTransmitted bits).
+  /// Kept with the outcome so a caller that reuses one outcome across
+  /// frames runs the request phase without allocating.
+  std::vector<std::uint8_t> flags;
 };
 
-/// Runs `minislots` request slots over `candidates`. `permission(id)` gives
-/// each user's permission probability; `rng_of(id)` must return that user's
+/// Runs `minislots` request slots over `candidates` into `outcome` (reset
+/// first; its vectors keep their capacity). `permission(id)` gives each
+/// user's permission probability; `rng_of(id)` must return that user's
 /// private stream — any stream type with a bernoulli(double) draw
 /// (RngStream, CompactRngStream or the TrafficRng dispatcher) — which
 /// keeps runs reproducible regardless of candidate-set composition.
 /// Winners are removed from contention as they succeed.
 template <typename Permission, typename RngOf>
-ContentionOutcome run_request_phase(
-    const std::vector<common::UserId>& candidates, int minislots,
-    Permission&& permission, RngOf&& rng_of) {
+void run_request_phase(const std::vector<common::UserId>& candidates,
+                       int minislots, Permission&& permission, RngOf&& rng_of,
+                       ContentionOutcome& outcome) {
   if (minislots < 0) {
     throw std::invalid_argument("run_request_phase: negative minislots");
   }
-  ContentionOutcome outcome;
+  constexpr std::uint8_t kWon = 1;
+  constexpr std::uint8_t kTransmitted = 2;
+  outcome.winners.clear();
+  outcome.transmitted.clear();
+  outcome.tally = ContentionTally{};
   outcome.tally.minislots = minislots;
-
-  // Track candidates by index: `won[i]` removes them from contention,
-  // `ever_transmitted[i]` feeds the backoff stabilization.
-  std::vector<bool> won(candidates.size(), false);
-  std::vector<bool> ever_transmitted(candidates.size(), false);
+  // Won candidates leave contention; transmitters feed the backoff
+  // stabilization.
+  auto& flags = outcome.flags;
+  // Sized by the candidate list's capacity, so a caller's reused list and
+  // the outcome reach their high water together.
+  flags.reserve(candidates.capacity());
+  outcome.winners.reserve(candidates.capacity());
+  outcome.transmitted.reserve(candidates.capacity());
+  flags.assign(candidates.size(), 0);
   std::size_t remaining = candidates.size();
 
   for (int slot = 0; slot < minislots && remaining > 0; ++slot) {
     std::size_t transmitter_index = candidates.size();
     int transmitted = 0;
     for (std::size_t i = 0; i < candidates.size(); ++i) {
-      if (won[i]) continue;
+      if (flags[i] & kWon) continue;
       if (rng_of(candidates[i]).bernoulli(permission(candidates[i]))) {
         ++transmitted;
         transmitter_index = i;
-        ever_transmitted[i] = true;
+        flags[i] |= kTransmitted;
       }
     }
     outcome.tally.transmissions += transmitted;
     if (transmitted == 1) {
       ++outcome.tally.successes;
       outcome.winners.push_back(candidates[transmitter_index]);
-      won[transmitter_index] = true;
+      flags[transmitter_index] |= kWon;
       --remaining;
     } else if (transmitted > 1) {
       ++outcome.tally.collisions;
@@ -83,9 +97,8 @@ ContentionOutcome run_request_phase(
       outcome.tally.idle;
 
   for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (ever_transmitted[i]) outcome.transmitted.push_back(candidates[i]);
+    if (flags[i] & kTransmitted) outcome.transmitted.push_back(candidates[i]);
   }
-  return outcome;
 }
 
 }  // namespace charisma::mac

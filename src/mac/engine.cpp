@@ -10,7 +10,18 @@ namespace charisma::mac {
 
 namespace {
 constexpr std::uint64_t kBaseStationStream = 0x4000'0000ULL;
+constexpr double kTimeEps = 1e-9;  // the traffic sources' due tolerance
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+#ifndef NDEBUG
+/// True when the user's traffic source has an event at or before `due_by`
+/// (the skipped-tick check of advance_world).
+bool traffic_due(MobileUser& u, common::Time due_by) {
+  return u.is_voice() ? u.voice().next_event_at() <= due_by
+                      : u.data().next_burst_at() <= due_by;
 }
+#endif
+}  // namespace
 
 ProtocolEngine::ProtocolEngine(const ScenarioParams& params)
     : params_(params),
@@ -109,15 +120,17 @@ MobileUser& ProtocolEngine::band_admit(common::UserId id,
   const std::size_t slot = u->slot();
   if (slot == users_.size()) {
     users_.push_back(std::move(u));
+    next_due_.push_back(kInf);
   } else {
     users_[slot] = std::move(u);
+    next_due_[slot] = kInf;
   }
   if (slot != static_cast<std::size_t>(id)) identity_ = false;
   band_.insert(pos, BandMember{id, static_cast<std::uint32_t>(slot)});
   MobileUser& ref = *users_[slot];
   if (materialize_traffic) {
     ref.ensure_traffic(params_);
-    ref.set_present(true);
+    mark_present(ref);
   }
   return ref;
 }
@@ -135,6 +148,7 @@ void ProtocolEngine::band_release(common::UserId id) {
   }
   ++rebirths_[id];
   users_[slot].reset();
+  next_due_[slot] = kInf;
   bank_.release_user(slot);
   band_.erase(it);
   identity_ = false;
@@ -179,13 +193,21 @@ void ProtocolEngine::detach_user(common::UserId id, bool outage) {
   auto& u = user(id);
   if (!u.present()) return;
   on_user_detached(id);
-  requests_.remove(id);
+  requests_.remove(u.slot());
   if (u.is_voice()) {
     (outage ? metrics_.voice_dropped_outage
             : metrics_.voice_dropped_handoff) += u.drop_pending_voice();
   }
   ++(outage ? metrics_.outage_evictions : metrics_.handoffs_out);
   u.set_present(false);
+  --present_count_;
+  next_due_[u.slot()] = kInf;
+}
+
+void ProtocolEngine::mark_present(MobileUser& u) {
+  if (!u.present()) ++present_count_;
+  u.set_present(true);
+  next_due_[u.slot()] = -kInf;
 }
 
 void ProtocolEngine::attach_user(common::UserId id) {
@@ -196,16 +218,17 @@ void ProtocolEngine::attach_user(common::UserId id) {
   // sources were already adopted from the previous cell (handoff
   // continuity wins over a fresh draw), so ensure_traffic only fills gaps.
   u.ensure_traffic(params_);
-  u.set_present(true);
-  assert(!requests_.contains(id));  // dropped on the last detach
+  mark_present(u);
+  // Dropped on the last detach.
+  assert(!requests_.contains(u.slot()));
   on_user_attached(id);
 }
 
 void ProtocolEngine::attach_user_initial(common::UserId id) {
   auto& u = user(id);
   u.ensure_traffic(params_);
-  u.set_present(true);
-  assert(!requests_.contains(id));
+  mark_present(u);
+  assert(!requests_.contains(u.slot()));
   on_user_attached(id);
 }
 
@@ -279,21 +302,32 @@ void ProtocolEngine::advance_world() {
   } else {
     bank_.advance_all_to(t);
   }
-  std::int64_t present = 0;
-  for (auto& u : users()) {
-    if (!u.present()) continue;
-    ++present;
+  // Traffic: only the slots whose due time has come are ticked — the same
+  // bound on_frame applies itself, so a skipped tick is one that would
+  // have returned an empty update. The sums are order-free, so slot order
+  // reproduces the historical ascending-id loop.
+  const common::Time due_by = t + kTimeEps;
+  for (std::size_t slot = 0; slot < next_due_.size(); ++slot) {
+    if (next_due_[slot] > due_by) {
+      assert(!users_[slot] || !users_[slot]->present() ||
+             !traffic_due(*users_[slot], due_by));
+      continue;
+    }
+    MobileUser& u = *users_[slot];
+    assert(u.present());
     if (u.is_voice()) {
       const auto update = u.voice().on_frame(t);
       metrics_.voice_generated += update.packets_generated;
       metrics_.voice_dropped_deadline += update.packets_expired;
+      next_due_[slot] = u.voice().next_event_at();
     } else {
       const auto update = u.data().on_frame(t);
       metrics_.data_generated += update.packets_arrived;
+      next_due_[slot] = u.data().next_burst_at();
     }
   }
-  metrics_.attached_user_frames += present;
-  if (barring_) barr_win_user_frames_ += present;
+  metrics_.attached_user_frames += present_count_;
+  if (barring_) barr_win_user_frames_ += present_count_;
 }
 
 double ProtocolEngine::permission_prob(const MobileUser& u) const {
@@ -315,9 +349,10 @@ bool ProtocolEngine::barring_blocks(MobileUser& u) {
 
 void ProtocolEngine::release_finished_talkspurts(ReservationGrid& grid) {
   for (auto& u : users()) {
-    if (u.is_voice() && grid.has_reservation(u.id()) &&
+    const std::size_t slot = u.slot();
+    if (u.is_voice() && grid.has_reservation(slot) &&
         !u.voice().in_talkspurt() && !u.voice().has_packet()) {
-      grid.release(u.id());
+      grid.release(slot);
     }
   }
 }
@@ -325,6 +360,7 @@ void ProtocolEngine::release_finished_talkspurts(ReservationGrid& grid) {
 PendingRequest ProtocolEngine::request_for(MobileUser& u) const {
   PendingRequest request;
   request.user = u.id();
+  request.slot = u.slot();
   if (u.is_voice()) {
     request.type = RequestType::kVoice;
     request.deadline = u.voice().packet().deadline;
@@ -338,14 +374,15 @@ PendingRequest ProtocolEngine::request_for(MobileUser& u) const {
   return request;
 }
 
-ContentionOutcome ProtocolEngine::run_contention(
+const ContentionOutcome& ProtocolEngine::run_contention(
     const std::vector<common::UserId>& candidates, int minislots,
     int symbols_per_request) {
   // Contenders are this frame's dense read set (winners get CSI estimates,
   // CHARISMA ranks them by channel): one batched materialization beats the
   // scattered on-read jumps a lazy bank would otherwise pay.
   touch_channels(candidates);
-  auto outcome = run_request_phase(
+  ContentionOutcome& outcome = contention_;
+  run_request_phase(
       candidates, minislots,
       [this](common::UserId id) {
         const auto& u = user(id);
@@ -353,7 +390,8 @@ ContentionOutcome ProtocolEngine::run_contention(
       },
       [this](common::UserId id) -> common::TrafficRng& {
         return user(id).rng();
-      });
+      },
+      outcome);
   note_contention(outcome.tally);
 
   // Downlink ACK loss: the base station acknowledged, but the device never

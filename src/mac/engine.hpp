@@ -278,7 +278,7 @@ class ProtocolEngine {
   /// draw comes last, so only would-be contenders consume it.
   bool wants_access(MobileUser& u, const ReservationGrid& grid) {
     const bool active = u.is_voice()
-                            ? !grid.has_reservation(u.id()) &&
+                            ? !grid.has_reservation(u.slot()) &&
                                   u.voice().in_talkspurt() &&
                                   u.voice().has_packet()
                             : u.data().backlog() > 0;
@@ -327,10 +327,11 @@ class ProtocolEngine {
   /// backoff (winners reset, collided losers halve; a winner whose ACK was
   /// lost behaves like a collided loser and is dropped from the winners).
   /// `symbols_per_request` defaults to a request minislot; RMAV's
-  /// full-slot competitive requests pass the slot size.
-  ContentionOutcome run_contention(const std::vector<common::UserId>& candidates,
-                                   int minislots,
-                                   int symbols_per_request = -1);
+  /// full-slot competitive requests pass the slot size. The outcome lives
+  /// in engine scratch: it is valid until the next run_contention call.
+  const ContentionOutcome& run_contention(
+      const std::vector<common::UserId>& candidates, int minislots,
+      int symbols_per_request = -1);
 
   // ---- Energy accounting (paper §1, motivation 2) ----
 
@@ -410,6 +411,23 @@ class ProtocolEngine {
   /// Failures return to the head of the queue for ARQ. Returns delivered.
   int send_data(MobileUser& u, std::optional<int> mode, int cap);
 
+  /// Slot-indexed due time of each band member's traffic tick: the
+  /// source's own next_event_at() / next_burst_at() after its last
+  /// on_frame, -inf for a user (re-)attached since (its first tick is
+  /// due at once) and +inf for an absent user or a vacant slot.
+  /// advance_world ticks only the slots due at the frame start. Exact
+  /// because between ticks a due time only ever moves later:
+  /// consume_packet, drop_pending_voice and the ARQ push_front drop or
+  /// requeue packets, set_rate_scale affects future draws only, and a
+  /// hand-in's adopt_service_state precedes the attach that marks -inf.
+  std::vector<common::Time> next_due_;
+  /// Band members present here (attached), maintained by attach/detach.
+  std::int64_t present_count_ = 0;
+  /// Marks `u` present (the attach paths): counted, and its traffic tick
+  /// due on the next frame.
+  void mark_present(MobileUser& u);
+  /// run_contention's outcome, reused across frames.
+  ContentionOutcome contention_;
   /// Failed-arrival scratch for send_data, reused across frames so
   /// steady-state ARQ retransmissions stay allocation-free.
   std::vector<common::Time> retx_scratch_;

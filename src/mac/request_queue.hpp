@@ -4,10 +4,15 @@
 // its entries as backlog requests ranked by the priority metric. Voice
 // entries whose packet deadline has passed are purged (the packet is
 // dropped at the device).
+//
+// Membership is keyed by the requester's storage slot (its engine /
+// ChannelBank row), so contains() is one array load and remove() returns
+// at once for a user with no entry. The per-slot table grows to the
+// highest slot ever queued — band rows, never population ids.
 #pragma once
 
-#include <deque>
-#include <optional>
+#include <cstdint>
+#include <vector>
 
 #include "channel/csi.hpp"
 #include "common/units.hpp"
@@ -18,6 +23,9 @@ enum class RequestType { kVoice, kData };
 
 struct PendingRequest {
   common::UserId user = common::kNoUser;
+  /// The requester's storage slot (MobileUser::slot()): the queue's
+  /// membership key.
+  std::size_t slot = 0;
   RequestType type = RequestType::kVoice;
   /// Packets the device asked to transmit (1 for voice; burst backlog for
   /// data, updated as slots are granted).
@@ -31,18 +39,24 @@ struct PendingRequest {
 
 class RequestQueue {
  public:
-  void push(PendingRequest request) { entries_.push_back(request); }
+  void push(const PendingRequest& request);
 
   bool empty() const { return entries_.empty(); }
   std::size_t size() const { return entries_.size(); }
 
-  std::deque<PendingRequest>& entries() { return entries_; }
-  const std::deque<PendingRequest>& entries() const { return entries_; }
+  /// Entries oldest first. Callers may update an entry's CSI, backlog and
+  /// waiting count in place, never its user or slot (the membership key).
+  std::vector<PendingRequest>& entries() { return entries_; }
+  const std::vector<PendingRequest>& entries() const { return entries_; }
 
-  bool contains(common::UserId user) const;
+  /// True when the user at storage slot `slot` has an entry queued.
+  bool contains(std::size_t slot) const {
+    return slot < queued_.size() && queued_[slot] != 0;
+  }
 
-  /// Removes the given user's request (after full service or expiry).
-  void remove(common::UserId user);
+  /// Removes the entry of the user at `slot` (after full service or
+  /// expiry); no-op when it has none.
+  void remove(std::size_t slot);
 
   /// Purges voice requests whose deadline passed. Returns how many were
   /// purged (their packets are accounted as deadline drops by the source).
@@ -51,10 +65,12 @@ class RequestQueue {
   /// Increments every entry's waiting-frame counter (call once per frame).
   void age_all();
 
-  void clear() { entries_.clear(); }
+  void clear();
 
  private:
-  std::deque<PendingRequest> entries_;
+  std::vector<PendingRequest> entries_;
+  /// Entries queued per storage slot (0 or 1 in every protocol's use).
+  std::vector<std::uint32_t> queued_;
 };
 
 }  // namespace charisma::mac

@@ -5,86 +5,75 @@
 namespace charisma::mac {
 
 ReservationGrid::ReservationGrid(int phases, int slots_per_phase)
-    : slots_per_phase_(slots_per_phase) {
+    : phases_(phases), slots_per_phase_(slots_per_phase) {
   if (phases <= 0 || slots_per_phase <= 0) {
     throw std::invalid_argument("ReservationGrid: invalid dimensions");
   }
-  grid_.assign(static_cast<std::size_t>(phases),
-               std::vector<common::UserId>(
-                   static_cast<std::size_t>(slots_per_phase), common::kNoUser));
+  cells_.assign(static_cast<std::size_t>(phases) *
+                    static_cast<std::size_t>(slots_per_phase),
+                common::kNoUser);
 }
 
-std::optional<int> ReservationGrid::reserve(int phase, common::UserId user) {
-  if (phase < 0 || phase >= phases()) {
+void ReservationGrid::book(int cell, common::UserId user, std::size_t row) {
+  cells_[static_cast<std::size_t>(cell)] = user;
+  if (row >= cell_of_row_.size()) cell_of_row_.resize(row + 1, -1);
+  cell_of_row_[row] = cell;
+  ++occupied_;
+}
+
+std::optional<int> ReservationGrid::reserve(int phase, common::UserId user,
+                                            std::size_t row) {
+  if (phase < 0 || phase >= phases_) {
     throw std::out_of_range("ReservationGrid::reserve: bad phase");
   }
-  if (by_user_.count(user) > 0) return std::nullopt;
-  auto& row = grid_[static_cast<std::size_t>(phase)];
+  if (has_reservation(row)) return std::nullopt;
+  const int base = phase * slots_per_phase_;
   for (int s = 0; s < slots_per_phase_; ++s) {
-    if (row[static_cast<std::size_t>(s)] == common::kNoUser) {
-      row[static_cast<std::size_t>(s)] = user;
-      by_user_[user] = Position{phase, s};
+    if (cells_[static_cast<std::size_t>(base + s)] == common::kNoUser) {
+      book(base + s, user, row);
       return s;
     }
   }
   return std::nullopt;
 }
 
-bool ReservationGrid::reserve_at(int phase, int slot, common::UserId user) {
-  if (phase < 0 || phase >= phases() || slot < 0 || slot >= slots_per_phase_) {
+bool ReservationGrid::reserve_at(int phase, int slot, common::UserId user,
+                                 std::size_t row) {
+  if (phase < 0 || phase >= phases_ || slot < 0 || slot >= slots_per_phase_) {
     throw std::out_of_range("ReservationGrid::reserve_at: bad position");
   }
-  if (by_user_.count(user) > 0) return false;
-  auto& cell = grid_[static_cast<std::size_t>(phase)][static_cast<std::size_t>(slot)];
-  if (cell != common::kNoUser) return false;
-  cell = user;
-  by_user_[user] = Position{phase, slot};
+  if (has_reservation(row)) return false;
+  const int cell = phase * slots_per_phase_ + slot;
+  if (cells_[static_cast<std::size_t>(cell)] != common::kNoUser) return false;
+  book(cell, user, row);
   return true;
 }
 
-void ReservationGrid::release(common::UserId user) {
-  auto it = by_user_.find(user);
-  if (it == by_user_.end()) return;
-  grid_[static_cast<std::size_t>(it->second.phase)]
-       [static_cast<std::size_t>(it->second.slot)] = common::kNoUser;
-  by_user_.erase(it);
+void ReservationGrid::release(std::size_t row) {
+  if (!has_reservation(row)) return;
+  cells_[static_cast<std::size_t>(cell_of_row_[row])] = common::kNoUser;
+  cell_of_row_[row] = -1;
+  --occupied_;
 }
 
-bool ReservationGrid::has_reservation(common::UserId user) const {
-  return by_user_.count(user) > 0;
-}
-
-std::optional<ReservationGrid::Position> ReservationGrid::position(
-    common::UserId user) const {
-  auto it = by_user_.find(user);
-  if (it == by_user_.end()) return std::nullopt;
-  return it->second;
-}
-
-std::vector<common::UserId> ReservationGrid::due_in_phase(int phase) const {
-  if (phase < 0 || phase >= phases()) {
+void ReservationGrid::due_in_phase(int phase,
+                                   std::vector<common::UserId>& out) const {
+  if (phase < 0 || phase >= phases_) {
     throw std::out_of_range("ReservationGrid::due_in_phase: bad phase");
   }
-  std::vector<common::UserId> due;
-  for (common::UserId u : grid_[static_cast<std::size_t>(phase)]) {
-    if (u != common::kNoUser) due.push_back(u);
+  out.clear();
+  const auto base = static_cast<std::size_t>(phase * slots_per_phase_);
+  for (std::size_t s = 0; s < static_cast<std::size_t>(slots_per_phase_);
+       ++s) {
+    if (cells_[base + s] != common::kNoUser) out.push_back(cells_[base + s]);
   }
-  return due;
 }
 
 common::UserId ReservationGrid::user_at(int phase, int slot) const {
-  if (phase < 0 || phase >= phases() || slot < 0 || slot >= slots_per_phase_) {
+  if (phase < 0 || phase >= phases_ || slot < 0 || slot >= slots_per_phase_) {
     throw std::out_of_range("ReservationGrid::user_at: bad position");
   }
-  return grid_[static_cast<std::size_t>(phase)][static_cast<std::size_t>(slot)];
-}
-
-int ReservationGrid::occupied_in_phase(int phase) const {
-  return static_cast<int>(due_in_phase(phase).size());
-}
-
-int ReservationGrid::free_in_phase(int phase) const {
-  return slots_per_phase_ - occupied_in_phase(phase);
+  return cells_[static_cast<std::size_t>(phase * slots_per_phase_ + slot)];
 }
 
 }  // namespace charisma::mac

@@ -60,6 +60,7 @@ class AdaptivePhy {
  private:
   ModeTable table_;
   PhyConfig config_;
+  double margin_linear_;  ///< from_db(config_.selection_margin_db)
 };
 
 }  // namespace charisma::phy

@@ -62,11 +62,10 @@ ModeTable ModeTable::abicm6(double target_ber) {
 }
 
 std::optional<int> ModeTable::select(double snr_estimate_linear,
-                                     double margin_db) const {
-  const double margin = common::from_db(margin_db);
+                                     double margin_linear) const {
   std::optional<int> best;
   for (const auto& mode : modes_) {
-    if (snr_estimate_linear >= mode.threshold_linear * margin) {
+    if (snr_estimate_linear >= mode.threshold_linear * margin_linear) {
       best = mode.index;
     } else {
       break;  // thresholds are increasing

@@ -45,11 +45,13 @@ class ModeTable {
   /// with thresholds {2,5,9,13,16.5,20} dB (DESIGN.md calibration).
   static ModeTable abicm6(double target_ber = 1e-5);
 
-  /// Highest mode whose threshold (plus `margin_db` of backoff) is met by
-  /// the SNR estimate; nullopt when even mode 0 cannot hold the target BER
-  /// (adaptation range exceeded).
+  /// Highest mode whose threshold, scaled by the linear backoff factor
+  /// `margin_linear` (from_db of the margin in dB; 1 = none), is met by the
+  /// SNR estimate; nullopt when even mode 0 cannot hold the target BER
+  /// (adaptation range exceeded). Callers convert a dB margin once, not
+  /// per selection.
   std::optional<int> select(double snr_estimate_linear,
-                            double margin_db = 0.0) const;
+                            double margin_linear = 1.0) const;
 
   const TransmissionMode& mode(int index) const;
   int size() const { return static_cast<int>(modes_.size()); }

@@ -11,11 +11,13 @@ DrmaProtocol::DrmaProtocol(const mac::ScenarioParams& params,
       options_(options),
       grid_(params.geometry.frames_per_voice_period, options.info_slots) {}
 
-void DrmaProtocol::on_user_detached(common::UserId id) { grid_.release(id); }
+void DrmaProtocol::on_user_detached(common::UserId id) {
+  grid_.release(user(id).slot());
+}
 
 void DrmaProtocol::on_user_attached([[maybe_unused]] common::UserId id) {
   // A (re-)attaching user must arrive clean of earlier-stay reservations.
-  assert(!grid_.has_reservation(id));
+  assert(!grid_.has_reservation(user(id).slot()));
 }
 
 bool DrmaProtocol::engaged(common::UserId id) const {
@@ -88,7 +90,7 @@ common::Time DrmaProtocol::process_frame() {
       auto& u = user(request.user);
       if (request.type == mac::RequestType::kVoice) {
         // The served slot position becomes the talkspurt's reservation.
-        grid_.reserve_at(phase, slot, request.user);
+        grid_.reserve_at(phase, slot, request.user, request.slot);
         transmit_voice_fixed(u);
         disengage(request.user);
       } else {
@@ -106,6 +108,7 @@ common::Time DrmaProtocol::process_frame() {
 
     // Free slot with nothing to serve: convert it into N_x request
     // minislots.
+    candidates_.reserve(band_size());  // never grows while the band does not
     candidates_.clear();
     for (auto& u : users()) {
       if (!u.present() || engaged(u.id())) continue;
@@ -113,7 +116,7 @@ common::Time DrmaProtocol::process_frame() {
     }
     if (candidates_.empty()) continue;  // slot stays idle
 
-    auto outcome =
+    const auto& outcome =
         run_contention(candidates_, options_.minislots_per_conversion);
     for (common::UserId uid : outcome.winners) {
       pending_.push_back(request_for(user(uid)));

@@ -1,7 +1,6 @@
 #include "protocols/dtdma.hpp"
 
 #include <cassert>
-#include <vector>
 
 namespace charisma::protocols {
 
@@ -12,11 +11,13 @@ DtdmaProtocol::DtdmaProtocol(const mac::ScenarioParams& params,
       grid_(params.geometry.frames_per_voice_period,
             params.geometry.num_info_slots) {}
 
-void DtdmaProtocol::on_user_detached(common::UserId id) { grid_.release(id); }
+void DtdmaProtocol::on_user_detached(common::UserId id) {
+  grid_.release(user(id).slot());
+}
 
 void DtdmaProtocol::on_user_attached([[maybe_unused]] common::UserId id) {
   // A (re-)attaching user must arrive clean of earlier-stay reservations.
-  assert(!grid_.has_reservation(id));
+  assert(!grid_.has_reservation(user(id).slot()));
 }
 
 void DtdmaProtocol::transmit_voice(mac::MobileUser& u) {
@@ -55,7 +56,7 @@ bool DtdmaProtocol::serve_request(const mac::PendingRequest& request,
   if (request.type == mac::RequestType::kVoice) {
     if (!u.voice().has_packet()) return true;  // packet expired meanwhile
     if (free_slots <= 0) return false;
-    if (!grid_.reserve(phase, request.user)) {
+    if (!grid_.reserve(phase, request.user, request.slot)) {
       // Current phase fully booked: FCFS assignment is frame-local (§3.4),
       // so the request waits (queue) or dies (no queue).
       return false;
@@ -81,20 +82,27 @@ common::Time DtdmaProtocol::process_frame() {
   // 1. Reserved voice users transmit in their owned slots. They are this
   //    frame's dense read set, so declare them to a lazy bank in one batch
   //    (queued users are sparse and materialize on read).
-  const auto due = grid_.due_in_phase(phase);
-  touch_channels(due);
-  for (common::UserId uid : due) {
+  grid_.due_in_phase(phase, due_);
+  touch_channels(due_);
+  for (common::UserId uid : due_) {
     transmit_voice(user(uid));
   }
-  int free_slots = geom_.num_info_slots - static_cast<int>(due.size());
+  int free_slots = geom_.num_info_slots - static_cast<int>(due_.size());
 
   // 2. Request phase: N_r contention minislots.
-  std::vector<common::UserId> candidates;
+  // Room for every band member up front: the list (and the request
+  // phase's per-candidate scratch, sized to its capacity) then never
+  // grows while the band does not.
+  candidates_.reserve(band_size());
+  candidates_.clear();
   for (auto& u : users()) {
-    if (!u.present() || requests_.contains(u.id())) continue;
-    if (wants_access(u, grid_)) candidates.push_back(u.id());
+    if (!u.present() ||
+        requests_.contains(u.slot())) {
+      continue;
+    }
+    if (wants_access(u, grid_)) candidates_.push_back(u.id());
   }
-  auto outcome = run_contention(candidates, geom_.num_request_slots);
+  const auto& outcome = run_contention(candidates_, geom_.num_request_slots);
 
   // 3. FCFS service: queued requests first (oldest), then this frame's
   //    winners in minislot order, voice before data. Unserved requests

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "mac/engine.hpp"
 #include "mac/reservation.hpp"
@@ -46,6 +47,10 @@ class DtdmaProtocol : public mac::ProtocolEngine {
 
   PhyVariant variant_;
   mac::ReservationGrid grid_;
+  // Per-frame scratch, reused across frames so the steady-state frame loop
+  // stays allocation-free.
+  std::vector<common::UserId> due_;         ///< this phase's owners
+  std::vector<common::UserId> candidates_;  ///< this frame's contenders
 };
 
 }  // namespace charisma::protocols

@@ -1,7 +1,6 @@
 #include "protocols/prma.hpp"
 
 #include <cassert>
-#include <vector>
 
 namespace charisma::protocols {
 
@@ -11,11 +10,13 @@ PrmaProtocol::PrmaProtocol(const mac::ScenarioParams& params,
       options_(options),
       grid_(params.geometry.frames_per_voice_period, options.info_slots) {}
 
-void PrmaProtocol::on_user_detached(common::UserId id) { grid_.release(id); }
+void PrmaProtocol::on_user_detached(common::UserId id) {
+  grid_.release(user(id).slot());
+}
 
 void PrmaProtocol::on_user_attached([[maybe_unused]] common::UserId id) {
   // A (re-)attaching user must arrive clean of earlier-stay reservations.
-  assert(!grid_.has_reservation(id));
+  assert(!grid_.has_reservation(user(id).slot()));
 }
 
 common::Time PrmaProtocol::process_frame() {
@@ -25,12 +26,8 @@ common::Time PrmaProtocol::process_frame() {
 
   // Touch set: this phase's reservation holders transmit unconditionally;
   // direct-transmission winners are sparse and materialize on read.
-  std::vector<common::UserId> owners;
-  for (int slot = 0; slot < options_.info_slots; ++slot) {
-    const common::UserId owner = grid_.user_at(phase, slot);
-    if (owner != common::kNoUser) owners.push_back(owner);
-  }
-  touch_channels(owners);
+  grid_.due_in_phase(phase, owners_);
+  touch_channels(owners_);
 
   mac::ContentionTally tally;
   for (int slot = 0; slot < options_.info_slots; ++slot) {
@@ -41,27 +38,28 @@ common::Time PrmaProtocol::process_frame() {
     }
 
     // Available slot: contenders transmit their packet directly.
-    std::vector<common::UserId> transmitters;
+    transmitters_.reserve(band_size());  // never grows while the band does not
+    transmitters_.clear();
     for (auto& u : users()) {
       if (!u.present() || !wants_access(u, grid_)) continue;
       if (u.rng().bernoulli(permission_prob(u) * u.backoff_scale())) {
-        transmitters.push_back(u.id());
+        transmitters_.push_back(u.id());
       }
     }
     ++tally.minislots;
-    tally.transmissions += static_cast<int>(transmitters.size());
+    tally.transmissions += static_cast<int>(transmitters_.size());
 
-    if (transmitters.empty()) {
+    if (transmitters_.empty()) {
       ++tally.idle;
       continue;
     }
-    if (transmitters.size() > 1) {
+    if (transmitters_.size() > 1) {
       // Collision: a whole information slot is burned, every transmitted
       // packet is lost from the air (it stays queued at the device).
       ++tally.collisions;
-      note_request_energy(static_cast<int>(transmitters.size()),
+      note_request_energy(static_cast<int>(transmitters_.size()),
                           geom_.slot_symbols, /*useful=*/0);
-      for (common::UserId id : transmitters) {
+      for (common::UserId id : transmitters_) {
         user(id).note_contention_collision();
       }
       continue;
@@ -69,11 +67,11 @@ common::Time PrmaProtocol::process_frame() {
 
     // Exactly one transmitter: the packet itself went over the air.
     ++tally.successes;
-    auto& winner = user(transmitters.front());
+    auto& winner = user(transmitters_.front());
     winner.note_contention_success();
     if (winner.is_voice()) {
       // The slot position becomes the talkspurt's reservation.
-      grid_.reserve_at(phase, slot, winner.id());
+      grid_.reserve_at(phase, slot, winner.id(), winner.slot());
       transmit_voice_fixed(winner);
     } else {
       transmit_data_fixed(winner);

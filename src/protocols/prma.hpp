@@ -12,6 +12,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "mac/engine.hpp"
 #include "mac/reservation.hpp"
@@ -40,6 +41,10 @@ class PrmaProtocol : public mac::ProtocolEngine {
  private:
   PrmaOptions options_;
   mac::ReservationGrid grid_;
+  // Per-frame scratch, reused across frames so the steady-state frame loop
+  // stays allocation-free.
+  std::vector<common::UserId> owners_;        ///< this phase's owners
+  std::vector<common::UserId> transmitters_;  ///< one free slot's senders
 };
 
 }  // namespace charisma::protocols

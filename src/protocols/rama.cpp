@@ -1,7 +1,6 @@
 #include "protocols/rama.hpp"
 
 #include <cassert>
-#include <vector>
 
 namespace charisma::protocols {
 
@@ -12,11 +11,13 @@ RamaProtocol::RamaProtocol(const mac::ScenarioParams& params,
       grid_(params.geometry.frames_per_voice_period,
             params.geometry.num_info_slots) {}
 
-void RamaProtocol::on_user_detached(common::UserId id) { grid_.release(id); }
+void RamaProtocol::on_user_detached(common::UserId id) {
+  grid_.release(user(id).slot());
+}
 
 void RamaProtocol::on_user_attached([[maybe_unused]] common::UserId id) {
   // A (re-)attaching user must arrive clean of earlier-stay reservations.
-  assert(!grid_.has_reservation(id));
+  assert(!grid_.has_reservation(user(id).slot()));
 }
 
 bool RamaProtocol::serve_request(const mac::PendingRequest& request, int phase,
@@ -25,7 +26,7 @@ bool RamaProtocol::serve_request(const mac::PendingRequest& request, int phase,
   if (request.type == mac::RequestType::kVoice) {
     if (!u.voice().has_packet()) return true;
     if (free_slots <= 0) return false;
-    if (!grid_.reserve(phase, request.user)) return false;
+    if (!grid_.reserve(phase, request.user, request.slot)) return false;
     transmit_voice_fixed(u);
     --free_slots;
     return true;
@@ -49,24 +50,31 @@ common::Time RamaProtocol::process_frame() {
   // This frame's dense read set: reservation holders transmit below; the
   // auction itself never reads the channel (ID digits arbitrate), so
   // winners and served requests materialize on read.
-  const auto due = grid_.due_in_phase(phase);
-  touch_channels(due);
-  for (common::UserId uid : due) {
+  grid_.due_in_phase(phase, due_);
+  touch_channels(due_);
+  for (common::UserId uid : due_) {
     transmit_voice_fixed(user(uid));
   }
-  int free_slots = geom_.num_info_slots - static_cast<int>(due.size());
+  int free_slots = geom_.num_info_slots - static_cast<int>(due_.size());
 
   // The auction: every active device without a queued request
   // participates (no permission probability — the bidding process is the
   // arbitration, so the barring gate is the only admission control in
   // front of it). Each auction slot resolves one winner; voice IDs
   // dominate data IDs.
-  std::vector<common::UserId> voice_contenders;
-  std::vector<common::UserId> data_contenders;
+  // Room for every band member up front: the pools never grow while the
+  // band does not.
+  voice_contenders_.reserve(band_size());
+  data_contenders_.reserve(band_size());
+  voice_contenders_.clear();
+  data_contenders_.clear();
   for (auto& u : users()) {
-    if (!u.present() || requests_.contains(u.id())) continue;
+    if (!u.present() ||
+        requests_.contains(u.slot())) {
+      continue;
+    }
     if (wants_access(u, grid_)) {
-      (u.is_voice() ? voice_contenders : data_contenders).push_back(u.id());
+      (u.is_voice() ? voice_contenders_ : data_contenders_).push_back(u.id());
     }
   }
 
@@ -78,15 +86,15 @@ common::Time RamaProtocol::process_frame() {
   const double auction_symbols = 3.0 * geom_.minislot_symbols;
   for (int a = 0; a < options_.auction_slots; ++a) {
     std::vector<common::UserId>* pool =
-        !voice_contenders.empty() ? &voice_contenders
-        : !data_contenders.empty() ? &data_contenders
-                                   : nullptr;
+        !voice_contenders_.empty() ? &voice_contenders_
+        : !data_contenders_.empty() ? &data_contenders_
+                                    : nullptr;
     if (pool == nullptr) {
       ++tally.idle;
       continue;
     }
-    const int bidders = static_cast<int>(voice_contenders.size() +
-                                         data_contenders.size());
+    const int bidders = static_cast<int>(voice_contenders_.size() +
+                                         data_contenders_.size());
     note_request_energy(bidders, auction_symbols, /*useful=*/1);
     tally.transmissions += bidders;
     if (options_.id_collision_prob > 0.0 &&

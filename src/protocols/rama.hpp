@@ -45,8 +45,12 @@ class RamaProtocol : public mac::ProtocolEngine {
 
   RamaOptions options_;
   mac::ReservationGrid grid_;
-  /// This frame's auction winners in win order, reused across frames.
-  std::vector<common::UserId> winners_;
+  // Per-frame scratch, reused across frames so the steady-state frame loop
+  // stays allocation-free.
+  std::vector<common::UserId> due_;               ///< this phase's owners
+  std::vector<common::UserId> voice_contenders_;  ///< auction pools, by
+  std::vector<common::UserId> data_contenders_;   ///< service class
+  std::vector<common::UserId> winners_;  ///< auction winners in win order
 };
 
 }  // namespace charisma::protocols

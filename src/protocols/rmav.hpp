@@ -48,6 +48,10 @@ class RmavProtocol : public mac::ProtocolEngine {
  private:
   RmavOptions options_;
   std::vector<common::UserId> grants_;  ///< winners to serve this frame
+  // Per-frame scratch, reused across frames so the steady-state frame loop
+  // stays allocation-free.
+  std::vector<common::UserId> candidates_;  ///< competitive-slot contenders
+  mac::ContentionOutcome outcome_;          ///< the competitive slot's result
 };
 
 }  // namespace charisma::protocols

@@ -50,12 +50,14 @@ TEST(SlottedAloha, ExpectedWinnersMatchesSimulation) {
   }
   double total = 0.0;
   const int trials = 20000;
+  mac::ContentionOutcome outcome;
   for (int t = 0; t < trials; ++t) {
-    const auto outcome = mac::run_request_phase(
+    mac::run_request_phase(
         candidates, minislots, [p](common::UserId) { return p; },
         [&rngs](common::UserId id) -> common::RngStream& {
           return rngs[static_cast<std::size_t>(id)];
-        });
+        },
+        outcome);
     total += static_cast<double>(outcome.winners.size());
   }
   EXPECT_NEAR(total / trials, analytic, 0.05);

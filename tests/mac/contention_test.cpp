@@ -20,20 +20,27 @@ class ContentionFixture : public ::testing::Test {
       return rng_for(id);
     };
   }
+  /// One request phase into a fresh outcome.
+  template <typename Permission>
+  ContentionOutcome run(const std::vector<common::UserId>& candidates,
+                        int minislots, Permission&& permission) {
+    ContentionOutcome outcome;
+    run_request_phase(candidates, minislots,
+                      std::forward<Permission>(permission), rng_fn(), outcome);
+    return outcome;
+  }
   std::map<common::UserId, common::RngStream> rngs_;
 };
 
 TEST_F(ContentionFixture, EmptyCandidatesAllIdle) {
-  const auto outcome = run_request_phase({}, 5, [](auto) { return 0.3; },
-                                         rng_fn());
+  const auto outcome = run({}, 5, [](auto) { return 0.3; });
   EXPECT_TRUE(outcome.winners.empty());
   EXPECT_EQ(outcome.tally.idle, 5);
   EXPECT_EQ(outcome.tally.minislots, 5);
 }
 
 TEST_F(ContentionFixture, SingleGreedyCandidateWinsFirstSlot) {
-  const auto outcome = run_request_phase({7}, 5, [](auto) { return 1.0; },
-                                         rng_fn());
+  const auto outcome = run({7}, 5, [](auto) { return 1.0; });
   ASSERT_EQ(outcome.winners.size(), 1u);
   EXPECT_EQ(outcome.winners[0], 7);
   EXPECT_EQ(outcome.tally.successes, 1);
@@ -41,8 +48,7 @@ TEST_F(ContentionFixture, SingleGreedyCandidateWinsFirstSlot) {
 }
 
 TEST_F(ContentionFixture, TwoGreedyCandidatesAlwaysCollide) {
-  const auto outcome = run_request_phase({1, 2}, 10, [](auto) { return 1.0; },
-                                         rng_fn());
+  const auto outcome = run({1, 2}, 10, [](auto) { return 1.0; });
   EXPECT_TRUE(outcome.winners.empty());
   EXPECT_EQ(outcome.tally.collisions, 10);
   // Both transmitted (for backoff bookkeeping).
@@ -52,8 +58,8 @@ TEST_F(ContentionFixture, TwoGreedyCandidatesAlwaysCollide) {
 TEST_F(ContentionFixture, WinnersAreUnique) {
   std::vector<common::UserId> candidates;
   for (int i = 0; i < 8; ++i) candidates.push_back(i);
-  const auto outcome = run_request_phase(candidates, 50,
-                                         [](auto) { return 0.25; }, rng_fn());
+  const auto outcome = run(candidates, 50,
+                                         [](auto) { return 0.25; });
   std::set<common::UserId> unique(outcome.winners.begin(),
                                   outcome.winners.end());
   EXPECT_EQ(unique.size(), outcome.winners.size());
@@ -61,8 +67,8 @@ TEST_F(ContentionFixture, WinnersAreUnique) {
 
 TEST_F(ContentionFixture, TallySumsToMinislots) {
   std::vector<common::UserId> candidates{0, 1, 2, 3, 4};
-  const auto outcome = run_request_phase(candidates, 12,
-                                         [](auto) { return 0.3; }, rng_fn());
+  const auto outcome = run(candidates, 12,
+                                         [](auto) { return 0.3; });
   EXPECT_EQ(outcome.tally.successes + outcome.tally.collisions +
                 outcome.tally.idle,
             12);
@@ -71,8 +77,8 @@ TEST_F(ContentionFixture, TallySumsToMinislots) {
 
 TEST_F(ContentionFixture, TransmittedSupersetOfWinners) {
   std::vector<common::UserId> candidates{0, 1, 2, 3, 4, 5};
-  const auto outcome = run_request_phase(candidates, 12,
-                                         [](auto) { return 0.4; }, rng_fn());
+  const auto outcome = run(candidates, 12,
+                                         [](auto) { return 0.4; });
   for (common::UserId w : outcome.winners) {
     EXPECT_NE(std::find(outcome.transmitted.begin(), outcome.transmitted.end(),
                         w),
@@ -82,8 +88,8 @@ TEST_F(ContentionFixture, TransmittedSupersetOfWinners) {
 
 TEST_F(ContentionFixture, ZeroPermissionNeverTransmits) {
   std::vector<common::UserId> candidates{0, 1, 2};
-  const auto outcome = run_request_phase(candidates, 8,
-                                         [](auto) { return 0.0; }, rng_fn());
+  const auto outcome = run(candidates, 8,
+                                         [](auto) { return 0.0; });
   EXPECT_TRUE(outcome.winners.empty());
   EXPECT_TRUE(outcome.transmitted.empty());
   EXPECT_EQ(outcome.tally.idle, 8);
@@ -92,16 +98,30 @@ TEST_F(ContentionFixture, ZeroPermissionNeverTransmits) {
 TEST_F(ContentionFixture, PerClassPermissions) {
   // User 0 greedy, others silent: user 0 wins the first slot.
   std::vector<common::UserId> candidates{0, 1, 2};
-  const auto outcome = run_request_phase(
-      candidates, 4, [](common::UserId id) { return id == 0 ? 1.0 : 0.0; },
-      rng_fn());
+  const auto outcome = run(
+      candidates, 4, [](common::UserId id) { return id == 0 ? 1.0 : 0.0; });
   ASSERT_EQ(outcome.winners.size(), 1u);
   EXPECT_EQ(outcome.winners[0], 0);
 }
 
 TEST_F(ContentionFixture, NegativeMinislotsThrow) {
-  EXPECT_THROW(run_request_phase({1}, -1, [](auto) { return 0.5; }, rng_fn()),
+  EXPECT_THROW(run({1}, -1, [](auto) { return 0.5; }),
                std::invalid_argument);
+}
+
+TEST_F(ContentionFixture, ReusedOutcomeIsResetEachPhase) {
+  // A caller-owned outcome carries nothing from one phase into the next.
+  ContentionOutcome outcome;
+  run_request_phase({1, 2}, 6, [](auto) { return 1.0; }, rng_fn(), outcome);
+  ASSERT_EQ(outcome.tally.collisions, 6);
+  run_request_phase({7}, 3, [](auto) { return 1.0; }, rng_fn(), outcome);
+  EXPECT_EQ(outcome.tally.minislots, 3);
+  EXPECT_EQ(outcome.tally.collisions, 0);
+  EXPECT_EQ(outcome.tally.successes, 1);
+  EXPECT_EQ(outcome.tally.idle, 2);
+  EXPECT_EQ(outcome.tally.transmissions, 1);
+  EXPECT_EQ(outcome.winners, std::vector<common::UserId>{7});
+  EXPECT_EQ(outcome.transmitted, std::vector<common::UserId>{7});
 }
 
 TEST_F(ContentionFixture, SuccessRateNearTheory) {
@@ -116,7 +136,7 @@ TEST_F(ContentionFixture, SuccessRateNearTheory) {
   const int trials = 20000;
   for (int t = 0; t < trials; ++t) {
     const auto outcome =
-        run_request_phase(candidates, 1, [p](auto) { return p; }, rng_fn());
+        run(candidates, 1, [p](auto) { return p; });
     successes += outcome.tally.successes;
   }
   const double expected = k * p * std::pow(1.0 - p, k - 1);
@@ -125,8 +145,8 @@ TEST_F(ContentionFixture, SuccessRateNearTheory) {
 
 TEST_F(ContentionFixture, DrainsEntirePoolGivenEnoughSlots) {
   std::vector<common::UserId> candidates{0, 1, 2, 3};
-  const auto outcome = run_request_phase(candidates, 400,
-                                         [](auto) { return 0.3; }, rng_fn());
+  const auto outcome = run(candidates, 400,
+                                         [](auto) { return 0.3; });
   EXPECT_EQ(outcome.winners.size(), 4u);
 }
 

@@ -74,9 +74,9 @@ TEST(ModeTable, SelectionBoundaries) {
 TEST(ModeTable, SelectionMarginBacksOff) {
   const auto table = ModeTable::abicm6(1e-5);
   const double snr = table.mode(3).threshold_linear;
-  EXPECT_EQ(table.select(snr, 0.0).value(), 3);
+  EXPECT_EQ(table.select(snr, common::from_db(0.0)).value(), 3);
   // With 2 dB margin the same SNR only supports mode 2.
-  EXPECT_EQ(table.select(snr, 2.0).value(), 2);
+  EXPECT_EQ(table.select(snr, common::from_db(2.0)).value(), 2);
 }
 
 TEST(ModeTable, NormalizedThroughput) {

@@ -594,6 +594,11 @@ int main(int argc, char** argv) {
           return 1;
         }
       }
+      // One cell runs no world, so the world knobs (threads=, shards=,
+      // band=, layout=, interference=, handoff_hysteresis_db=, ...) change
+      // nothing here; a value no world could honour is still refused, by
+      // the same checks and with the same message as at cells >= 2.
+      cellular_from(config, spec.params);
     }
 
     if (cells >= 2) {

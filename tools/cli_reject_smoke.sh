@@ -48,6 +48,14 @@ expect_reject measure measure=0
 expect_reject warmup warmup=-1
 # Only -1 means "use the geometry"; other negatives must not run as it.
 expect_reject poll_budget poll_budget=-5
+# World knobs are validated whatever the cell count: one cell runs no
+# world, but an impossible value is still an error, not a silent default.
+expect_reject interference cells=1 interference=2
+expect_reject handoff_hysteresis_db cells=1 handoff_hysteresis_db=-1
+expect_reject threads threads=-3
+expect_reject band band=-5
+expect_reject shards shards=-2
+expect_reject layout layout=bogus
 
 # expect_accept ARGS...: the run must exit 0.
 expect_accept() {
@@ -60,6 +68,9 @@ expect_accept() {
 # A parked population (kmh=0) still fades at the 1 Hz Doppler floor.
 expect_accept kmh=0 cells=1
 expect_accept kmh=0 cells=3
+# Valid world knobs keep working on a one-cell command line.
+expect_accept cells=1 threads=2 shards=2 band=700 layout=hex \
+  interference=0.5 handoff_hysteresis_db=2 mobility=vector
 
 if [ "$failures" -ne 0 ]; then
   echo "cli_reject_smoke: $failures case(s) failed" >&2
