@@ -1,5 +1,6 @@
 #include "channel/channel_bank.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <numeric>
@@ -193,7 +194,7 @@ void ChannelBank::jump_user(std::size_t user, const JumpCoeffs& c) {
   shadow_db_[user] = c.shadow_rho_k * shadow_db_[user] +
                      config_.shadow_sigma_db * c.shadow_unit_scale *
                          rng.normal(zig);
-  shadow_linear_[user] = -1.0;  // recomputed lazily on first SNR read
+  shadow_linear_[user] = kStaleLinear;  // recomputed on first SNR read
 }
 
 void ChannelBank::set_time(common::Time t) {
@@ -292,26 +293,22 @@ void ChannelBank::set_mean_snr_db_all(std::span<const double> db) {
   if (db.size() < n) {
     throw std::invalid_argument("ChannelBank::set_mean_snr_db_all: short span");
   }
+  // dB only: the linear factor is marked stale and converted by the first
+  // snr_linear read — a frame reads the SNR of a handful of candidates,
+  // not of every row fed here.
   if (vacant_count_ != 0) {
     // Sparse bank: db[slot] is defined only for active slots; vacant rows
     // keep whatever they held (re-seeded on acquire, never read).
     refresh_active();
     for (const std::uint32_t u : scratch_ids_) {
       mean_snr_db_[u] = db[u];
-      mean_snr_linear_[u] = common::from_db(db[u]);
+      mean_snr_linear_[u] = kStaleLinear;
     }
     return;
   }
-  for (std::size_t u = 0; u < n; ++u) {
-    mean_snr_db_[u] = db[u];
-  }
-  // Separate pass so the pow() loop streams two flat arrays (and vectorizes
-  // under -fno-math-errno).
-  const double* src = db.data();
-  double* dst = mean_snr_linear_.data();
-  for (std::size_t u = 0; u < n; ++u) {
-    dst[u] = common::from_db(src[u]);
-  }
+  std::copy(db.begin(), db.begin() + static_cast<std::ptrdiff_t>(n),
+            mean_snr_db_.begin());
+  std::fill(mean_snr_linear_.begin(), mean_snr_linear_.end(), kStaleLinear);
 }
 
 void ChannelBank::set_interference_db_all(std::span<const double> db) {
@@ -324,20 +321,14 @@ void ChannelBank::set_interference_db_all(std::span<const double> db) {
     refresh_active();
     for (const std::uint32_t u : scratch_ids_) {
       interference_db_[u] = db[u];
-      interference_linear_[u] = common::from_db(-db[u]);
+      interference_linear_[u] = kStaleLinear;
     }
     return;
   }
-  for (std::size_t u = 0; u < n; ++u) {
-    interference_db_[u] = db[u];
-  }
-  // Same two-pass structure as set_mean_snr_db_all: the pow() loop streams
-  // flat arrays and vectorizes under -fno-math-errno.
-  const double* src = db.data();
-  double* dst = interference_linear_.data();
-  for (std::size_t u = 0; u < n; ++u) {
-    dst[u] = common::from_db(-src[u]);
-  }
+  std::copy(db.begin(), db.begin() + static_cast<std::ptrdiff_t>(n),
+            interference_db_.begin());
+  std::fill(interference_linear_.begin(), interference_linear_.end(),
+            kStaleLinear);
 }
 
 double ChannelBank::snr_db(std::size_t user) const {

@@ -5,12 +5,12 @@
 // order, shadowing process, sample interval) shared by all of its rows —
 // the paper's common platform gives every user of a cell the same radio
 // environment, and only the link budget differs per user. A row therefore
-// keeps just what really differs: its mean SNR (dB and linear), its
-// interference penalty, its step, its diversity-branch I/Q state, its
-// shadowing value and its private innovation engine. Every row's branch
-// states live in contiguous parallel arrays (row u at [u*B, u*B + B)), and
-// one pass advances all rows to a frame boundary. The per-sample AR(1)
-// walk is replaced by its closed-form k-step jump:
+// keeps just what really differs: its mean SNR, its interference penalty,
+// its step, its diversity-branch I/Q state, its shadowing value and its
+// private innovation engine. Every row's branch states live in contiguous
+// parallel arrays (row u at [u*B, u*B + B)), and one pass advances all rows
+// to a frame boundary. The per-sample AR(1) walk is replaced by its
+// closed-form k-step jump:
 //
 //     h[n+k] = rho^k * h[n] + sqrt(1 - rho^(2k)) * w,   w ~ CN(0, 1)
 //
@@ -52,6 +52,7 @@
 #include <span>
 #include <vector>
 
+#include "common/math.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 
@@ -161,7 +162,9 @@ class ChannelBank {
   /// Bulk set_mean_snr_db: re-anchors every user's mean from db[u] in one
   /// pass (same no-RNG / no-fading-state guarantee). The mobility layer
   /// feeds a whole cell's path-loss plane through here each epoch instead
-  /// of total_users scalar calls.
+  /// of total_users scalar calls. Only the dB value is stored; the linear
+  /// factor is marked stale and converted by the row's first snr_linear
+  /// read (see there), so rows the MAC never reads pay no pow().
   void set_mean_snr_db_all(std::span<const double> db);
 
   /// Bulk co-channel interference plane: db[u] is the SINR penalty
@@ -171,6 +174,7 @@ class ChannelBank {
   /// nor the per-user RNG draw order, and a penalty of exactly 0 leaves
   /// every read bit-identical to a bank that never saw interference —
   /// both guarantees are pinned by tests/channel/channel_bank_test.cpp.
+  /// Like the mean, the linear factor is converted on first read.
   void set_interference_db_all(std::span<const double> db);
 
   /// Current SINR penalty (dB) applied to `user`'s reads; 0 by default.
@@ -183,14 +187,17 @@ class ChannelBank {
 
   /// Instantaneous effective SNR (linear) of `user` at its current state,
   /// after the interference penalty (SINR when an interference plane is
-  /// set; the default penalty factor is exactly 1). The dB→linear
-  /// shadowing conversion is lazy: an advance only marks it stale, and
-  /// the exp() is paid by the first read — protocol frames read the SNR
-  /// of a handful of candidates, not of the whole population.
+  /// set; the default penalty factor is exactly 1). All three dB→linear
+  /// conversions are lazy: an advance marks the shadowing factor stale,
+  /// set_mean_snr_db_all / set_interference_db_all mark the mean and
+  /// penalty factors stale, and the first read pays the conversion (from_db
+  /// of the stored dB value, so the product does not depend on when the
+  /// read comes) — protocol frames read the SNR of a handful of
+  /// candidates, not of the whole population.
   double snr_linear(std::size_t user) const {
     if (lazy_) ensure_user(user);
-    return mean_snr_linear_[user] * fading_power_[user] *
-           shadow_linear(user) * interference_linear_[user];
+    return mean_linear(user) * fading_power_[user] * shadow_linear(user) *
+           interference_linear(user);
   }
   double snr_db(std::size_t user) const;
 
@@ -269,12 +276,31 @@ class ChannelBank {
   template <typename Index>
   void materialize_batch(const Index* ids, std::size_t n);
 
+  /// Marks a cached linear factor as stale (every real factor is > 0).
+  static constexpr double kStaleLinear = -1.0;
+
   double shadow_linear(std::size_t user) const {
     double linear = shadow_linear_[user];
     if (linear < 0.0) {  // stale since the last advance
       // exp(ln10/10 * dB) — same value as from_db, cheaper than pow.
       linear = std::exp(0.23025850929940457 * shadow_db_[user]);
       shadow_linear_[user] = linear;
+    }
+    return linear;
+  }
+  double mean_linear(std::size_t user) const {
+    double linear = mean_snr_linear_[user];
+    if (linear < 0.0) {  // stale since the last set_mean_snr_db_all
+      linear = common::from_db(mean_snr_db_[user]);
+      mean_snr_linear_[user] = linear;
+    }
+    return linear;
+  }
+  double interference_linear(std::size_t user) const {
+    double linear = interference_linear_[user];
+    if (linear < 0.0) {  // stale since the last set_interference_db_all
+      linear = common::from_db(-interference_db_[user]);
+      interference_linear_[user] = linear;
     }
     return linear;
   }
@@ -296,17 +322,19 @@ class ChannelBank {
   std::vector<double> fade_re_;
   std::vector<double> fade_im_;
 
-  std::vector<double> mean_snr_linear_;
+  // Mean SNR and interference penalty in both domains: the dB values are
+  // what the setters write (snr_db_all adds the mean and subtracts the
+  // penalty); the linear factors 10^(dB/10) and 10^(-dB/10) multiplied by
+  // snr_linear are caches, kStaleLinear until the first read after a bulk
+  // set. 0 dB / 1.0 penalty until set_interference_db_all is called.
+  mutable std::vector<double> mean_snr_linear_;
   std::vector<double> mean_snr_db_;
-  // Interference penalty in both domains (dB subtracted by snr_db_all,
-  // linear factor 10^(-dB/10) multiplied by snr_linear); 0 dB / 1.0 until
-  // set_interference_db_all is called.
   std::vector<double> interference_db_;
-  std::vector<double> interference_linear_;
+  mutable std::vector<double> interference_linear_;
   std::vector<std::int64_t> step_;
 
   // Cached outputs of the last advance (what the MAC layer actually reads);
-  // shadow_linear_ < 0 marks a stale entry recomputed on first read.
+  // shadow_linear_ == kStaleLinear marks an entry recomputed on first read.
   std::vector<double> fading_power_;
   std::vector<double> shadow_db_;
   mutable std::vector<double> shadow_linear_;

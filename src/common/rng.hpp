@@ -299,10 +299,18 @@ class TrafficRng {
   TrafficRng(const TrafficRng& other)
       : compact_(other.compact_),
         mt_(other.mt_ ? std::make_unique<RngStream>(*other.mt_) : nullptr) {}
+  /// Copies into the existing RngStream when both sides are mt, so a
+  /// handoff that overwrites a source's stream allocates nothing.
   TrafficRng& operator=(const TrafficRng& other) {
     if (this != &other) {
       compact_ = other.compact_;
-      mt_ = other.mt_ ? std::make_unique<RngStream>(*other.mt_) : nullptr;
+      if (!other.mt_) {
+        mt_.reset();
+      } else if (mt_) {
+        *mt_ = *other.mt_;
+      } else {
+        mt_ = std::make_unique<RngStream>(*other.mt_);
+      }
     }
     return *this;
   }

@@ -1,6 +1,7 @@
 #include "experiment/sweep.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 namespace charisma::experiment {
@@ -15,12 +16,22 @@ std::vector<SweepCell> run_sweep(const SweepConfig& config,
   std::vector<std::function<void()>> jobs;
   jobs.reserve(cells.size());
 
-  std::size_t cell_index = 0;
-  for (std::size_t xi = 0; xi < config.x_values.size(); ++xi) {
-    for (std::size_t pi = 0; pi < config.protocols_to_run.size(); ++pi) {
+  // Jobs are claimed in submission order, so the heaviest points (largest
+  // x: the most users) go first and the light tail fills the idle threads
+  // at the end. Cells keep their (x, protocol) order, and each job's seeds
+  // depend only on its x index, so no result moves.
+  std::vector<std::size_t> x_order(config.x_values.size());
+  std::iota(x_order.begin(), x_order.end(), std::size_t{0});
+  std::stable_sort(x_order.begin(), x_order.end(),
+                   [&config](std::size_t a, std::size_t b) {
+                     return config.x_values[a] > config.x_values[b];
+                   });
+  const std::size_t num_protocols = config.protocols_to_run.size();
+  for (const std::size_t xi : x_order) {
+    for (std::size_t pi = 0; pi < num_protocols; ++pi) {
       const int x = config.x_values[xi];
       const auto protocol = config.protocols_to_run[pi];
-      SweepCell& cell = cells[cell_index++];
+      SweepCell& cell = cells[xi * num_protocols + pi];
       cell.x = x;
       cell.protocol = protocol;
       jobs.push_back([&cell, &config, x, protocol, xi] {

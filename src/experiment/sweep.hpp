@@ -25,7 +25,10 @@ struct SweepCell {
   ReplicatedResult result;
 };
 
-/// Runs the full grid; cells come back ordered by (x, protocol).
+/// Runs the full grid; cells come back ordered by (x index, protocol).
+/// Jobs are submitted from the largest x down (the heaviest points start
+/// first); a cell's seeds depend only on its x index, so the order moves
+/// no result.
 std::vector<SweepCell> run_sweep(const SweepConfig& config,
                                  const ParallelRunner& runner);
 

@@ -12,6 +12,10 @@
 namespace charisma::mac {
 
 namespace {
+/// User ranges of the link-plane round: enough for dynamic claiming to
+/// balance uneven band sizes, few enough that the per-chunk site scratch
+/// stays O(chunks × sites).
+constexpr std::size_t kLinkChunks = 64;
 // Stream-id name spaces (see mobile_user.cpp for the per-user ones).
 constexpr std::uint64_t kMobilityStream = 0x8000'0000ULL;
 constexpr std::uint64_t kCellSeedStream = 0x9000'0000ULL;
@@ -116,6 +120,10 @@ CellularWorld::CellularWorld(const CellularConfig& config,
   attached_.assign(users, 0);
   band_.assign(users, {});
   shard_arenas_.resize(num_shards_);
+  link_chunks_.resize(kLinkChunks);
+  for (LinkChunk& chunk : link_chunks_) {
+    chunk.sites.resize(static_cast<std::size_t>(config_.num_cells));
+  }
   plane_rows_.assign(static_cast<std::size_t>(config_.num_cells), {});
   attach_counts_.assign(static_cast<std::size_t>(config_.num_cells), 0);
   cell_load_.assign(static_cast<std::size_t>(config_.num_cells), 0.0);
@@ -134,6 +142,7 @@ CellularWorld::CellularWorld(const CellularConfig& config,
   // seeds the loads the first epoch uses.
   update_bands(/*include_attached=*/false);
   resize_plane_rows();
+  update_link_plane();
   update_snr_planes();
   initialize_attachments();
   update_cell_loads();
@@ -297,45 +306,59 @@ double CellularWorld::mean_snr_at_distance_db(double d_m) const {
   return path_loss_c_db_ - path_loss_half_k_ * std::log(d_sq);
 }
 
-void CellularWorld::update_cell_snr_plane(int c) {
-  // Share-nothing per-cell task: touches only this cell's bank and plane
-  // rows, reading the (quiescent) mobility positions, band memberships
-  // and the coordinator-frozen load vector. Work is O(band), never
-  // users × cells. With the interference plane on, each member's SINR
-  // penalty is computed directly here — each (user, interferer) term
-  // recomputed in place with the dense world's exact expressions in the
-  // same ascending order, so collapsing its stage-then-sum two-phase
-  // split changes no bits.
-  auto& cell = *cells_[static_cast<std::size_t>(c)];
-  const auto& band = cell.band();
-  auto& bank = cell.channel_bank();
-  const std::size_t rows = bank.size();
+void CellularWorld::update_link_plane() {
+  // One path-loss term per (user, site) per epoch. Each user's position is
+  // read once; its band cells are walked ascending, and every site's term
+  // — dB for the serving link, linear for an interferer — is computed at
+  // most once per user in the chunk's site scratch, stamped with a
+  // per-user ticket so no term outlives the user it was computed for.
+  // Sharing a term changes no bit: the expressions and the summation order
+  // are mac::interference_penalty_db's. Chunks are claimed dynamically:
+  // band sizes vary across the field, so small ranges balance better than
+  // one static range per shard.
   const bool interf = interference_enabled();
-  double* row = plane_rows_[static_cast<std::size_t>(c)].data();
-  double* irow =
-      interf ? interference_rows_[static_cast<std::size_t>(c)].data()
-             : nullptr;
-  const std::vector<int>& interferers =
-      cochannel_[static_cast<std::size_t>(c)];
-  for (const BandMember& m : band) {
-    const Vec2 pos = mobility_.position(static_cast<int>(m.id));
-    const double d_sq =
-        std::max(layout_.distance_sq(pos, c), min_distance_sq_m2_);
-    row[m.slot] = path_loss_c_db_ - path_loss_half_k_ * std::log(d_sq);
-    if (interf) {
-      double inr = 0.0;
-      for (const int s : interferers) {
-        const double load = cell_load_[static_cast<std::size_t>(s)];
-        if (load <= 0.0) continue;
-        const double ds =
-            std::max(layout_.distance_sq(pos, s), min_distance_sq_m2_);
-        const double db = path_loss_c_db_ - path_loss_half_k_ * std::log(ds);
-        inr += load * common::from_db(db);
-      }
-      irow[m.slot] = common::to_db(1.0 + inr);
-    }
-  }
-  // Same per-cell bank-op order as the dense world: mean plane,
+  pool_->for_each_range(
+      attached_.size(), link_chunks_.size(),
+      [this, interf](std::size_t k, std::size_t begin, std::size_t end) {
+        LinkChunk& chunk = link_chunks_[k];
+        for (std::size_t u = begin; u < end; ++u) {
+          const Vec2 pos = mobility_.position(static_cast<int>(u));
+          const std::uint64_t ticket = ++chunk.ticket;
+          auto term_db = [&](int s) {
+            LinkTerm& t = chunk.sites[static_cast<std::size_t>(s)];
+            if (t.db_ticket != ticket) {
+              const double d_sq =
+                  std::max(layout_.distance_sq(pos, s), min_distance_sq_m2_);
+              t.db = path_loss_c_db_ - path_loss_half_k_ * std::log(d_sq);
+              t.db_ticket = ticket;
+            }
+            return t.db;
+          };
+          for (const BandPilot& e : band_[u]) {
+            const auto c = static_cast<std::size_t>(e.cell);
+            plane_rows_[c][e.slot] = term_db(e.cell);
+            if (!interf) continue;
+            double inr = 0.0;
+            for (const int s : cochannel_[c]) {
+              const double load = cell_load_[static_cast<std::size_t>(s)];
+              if (load <= 0.0) continue;
+              LinkTerm& t = chunk.sites[static_cast<std::size_t>(s)];
+              if (t.linear_ticket != ticket) {
+                t.linear = common::from_db(term_db(s));
+                t.linear_ticket = ticket;
+              }
+              inr += load * t.linear;
+            }
+            interference_rows_[c][e.slot] = common::to_db(1.0 + inr);
+          }
+        }
+      });
+}
+
+void CellularWorld::update_cell_snr_plane(int c) {
+  // Share-nothing per-cell task: feeds this cell's bank from the rows the
+  // link plane filled and takes the pilot snapshot back into the plane
+  // row. Same per-cell bank-op order as the dense world: mean plane,
   // interference plane, pilot snapshot. The snapshot reads every band
   // member, so under a lazy bank the epoch is a full band re-anchor,
   // bounding any member's deferred-jump stride by the epoch period. A
@@ -345,9 +368,13 @@ void CellularWorld::update_cell_snr_plane(int c) {
   // ever reading the snapshot. The per-epoch penalty-mean metric is
   // replayed by the coordinator (note_interference_epochs) after the
   // barrier.
+  const auto ci = static_cast<std::size_t>(c);
+  auto& bank = cells_[ci]->channel_bank();
+  const std::size_t rows = bank.size();
+  double* row = plane_rows_[ci].data();
   bank.set_mean_snr_db_all({row, rows});
-  if (interf) {
-    bank.set_interference_db_all({irow, rows});
+  if (interference_enabled()) {
+    bank.set_interference_db_all({interference_rows_[ci].data(), rows});
   }
   bank.snr_db_all({row, rows});
 }
@@ -610,6 +637,12 @@ void CellularWorld::run_window(common::Time duration) {
       // The plane rows grow to any new bank rows before the parallel
       // tasks use them.
       resize_plane_rows();
+    }
+    {
+      // Path loss and co-channel penalties from the new positions and the
+      // frozen loads, user-chunked like the other world-plane phases.
+      PhaseTimer timer(timings_.shard_plane_s);
+      update_link_plane();
     }
     {
       PhaseTimer timer(timings_.cell_plane_s);

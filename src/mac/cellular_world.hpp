@@ -20,14 +20,15 @@
 //      (ProtocolEngine::band_admit: a fresh ChannelBank row, or a
 //      recycled one re-seeded from the per-(user, cell) visit counter)
 //      and release leavers (band_release),
-//   2. re-anchors each band-resident (user, cell) link's mean SNR from
-//      distance-based path loss, computes the cell's per-user co-channel
-//      interference penalties (from the *previous* epoch's attached-user
-//      loads) fed through ChannelBank::set_interference_db_all, and
-//      snapshots each cell's instantaneous pilot plane
-//      (set_mean_snr_db_all / snr_db_all — fading/shadowing state and RNG
-//      draw order untouched). With interference enabled, pilots and
-//      in-cell SNR are SINR.
+//   2. computes, per user, each band-resident (user, cell) link's mean SNR
+//      from distance-based path loss and its co-channel interference
+//      penalty (from the *previous* epoch's attached-user loads) — one
+//      path-loss term per (user, site), shared by every band link that
+//      needs it — then feeds each cell's bank (set_mean_snr_db_all,
+//      set_interference_db_all) and snapshots its instantaneous pilot
+//      plane (snr_db_all) — fading/shadowing state and RNG draw order
+//      untouched. With interference enabled, pilots and in-cell SNR are
+//      SINR.
 //   3. updates per-(user, cell) filtered pilots and applies the
 //      strongest-with-hysteresis attachment rule
 //      (mac::strongest_with_hysteresis — every challenger measured
@@ -43,14 +44,16 @@
 // interfere) and wrap-around distances for edge-free full-ring clusters.
 //
 // Cells are share-nothing — each engine owns its frame loop, ChannelBank
-// and RNG streams — so steps 2 and 4 dispatch one task per cell across a
-// persistent experiment::WorkerPool (num_threads in the config). The
-// cross-cell steps (pilot filtering, attachment, handoff, load
+// and RNG streams — so the bank feeds of step 2 and the frames of step 4
+// dispatch one task per cell across a persistent experiment::WorkerPool
+// (num_threads in the config). The path-loss and interference terms of
+// step 2 are computed over user chunks on the same pool, each user's
+// values depending only on its own position and the frozen load vector.
+// The cross-cell steps that mutate engines (band admission, handoff, load
 // aggregation) stay on the coordinating thread between the pool's
-// barriers, and each cell's interference row is computed inside its own
-// task from the frozen load vector, which keeps the world's results
-// bit-identical to a serial run at any thread count — interference
-// included (tests/mac/world_determinism_test.cpp).
+// barriers, which keeps the world's results bit-identical to a serial run
+// at any thread count — interference included
+// (tests/mac/world_determinism_test.cpp).
 //
 // Handoffs, voice packets dropped in transit, and per-cell load all land in
 // ProtocolMetrics, so the existing reporting stack works unchanged.
@@ -252,8 +255,9 @@ class CellularWorld {
   /// barriers vs the per-cell plane/frame barriers.
   struct EpochTimings {
     double serial_plane_s = 0.0;  ///< coordinator merge/apply/aggregate
-    double shard_plane_s = 0.0;   ///< sharded world-plane phases
-    double cell_plane_s = 0.0;    ///< per-cell SNR plane + MAC frames
+    /// Sharded world-plane phases, the user-chunked link plane included.
+    double shard_plane_s = 0.0;
+    double cell_plane_s = 0.0;    ///< per-cell bank feeds + MAC frames
     std::uint64_t epochs = 0;
   };
   const EpochTimings& epoch_timings() const { return timings_; }
@@ -294,6 +298,22 @@ class CellularWorld {
     int user = 0;
     int to = 0;
     bool evict = false;
+  };
+
+  /// One site's path-loss term for the link-plane chunk's current user:
+  /// valid only while its ticket equals the chunk's, so a term can never
+  /// carry over from another user or another epoch.
+  struct LinkTerm {
+    double db = 0.0;      ///< C − K/2 · ln(max(d², d_min²))
+    double linear = 0.0;  ///< from_db(db)
+    std::uint64_t db_ticket = 0;
+    std::uint64_t linear_ticket = 0;
+  };
+  /// Per-chunk scratch of the link-plane round: one LinkTerm per site,
+  /// and the ticket bumped once per user.
+  struct LinkChunk {
+    std::vector<LinkTerm> sites;
+    std::uint64_t ticket = 0;
   };
 
   /// Per-shard proposal arena — everything a world-plane shard writes.
@@ -348,18 +368,24 @@ class CellularWorld {
   /// (vacant rows are never read; they only keep the spans full-size).
   void resize_plane_rows();
   void initialize_attachments();
-  /// Per-cell epoch task (runs on the pool): over the cell's band — never
-  /// users × cells — re-anchor the mean-SNR plane from the members'
-  /// positions, compute each member's co-channel SINR penalty directly
-  /// from the coordinator-frozen load vector (one pass; the dense world's
-  /// stage-contributions-then-sum split collapses because each (user,
-  /// interferer) term is recomputed in place, same expressions in the
-  /// same order), feed the bank, and take the pilot snapshot into this
-  /// cell's slot-indexed plane row.
+  /// The link-plane round (user chunks on the pool, after band admission
+  /// and before the cell tasks): per user, read the position once and
+  /// walk its band cells ascending, writing each link's mean SNR (dB)
+  /// into plane_rows_ and — with interference on — its SINR penalty
+  /// 10·log10(1 + Σ load·INR) over the cell's co-channel sites into
+  /// interference_rows_, from the coordinator-frozen loads. Each (user,
+  /// site) path-loss term is computed once (LinkChunk) and shared by every
+  /// link that uses it; the expressions and summation order are those of
+  /// mac::interference_penalty_db, bit for bit. O(users × band) work and
+  /// memory, never users × cells.
+  void update_link_plane();
+  /// Per-cell epoch task (runs on the pool): feed the bank the cell's
+  /// mean-SNR and interference rows, then take the pilot snapshot into
+  /// this cell's slot-indexed plane row.
   void update_cell_snr_plane(int c);
-  /// The per-epoch plane update: one share-nothing task per cell,
-  /// interference included, followed by the coordinator's penalty-mean
-  /// replay.
+  /// The per-epoch bank update: one share-nothing task per cell, followed
+  /// by the coordinator's penalty-mean replay. update_link_plane must
+  /// have filled the rows.
   void update_snr_planes();
   /// Coordinator replay of each cell's per-member interference penalties
   /// (band order == id order) into the engines' penalty-mean metric —
@@ -414,9 +440,9 @@ class CellularWorld {
   /// Per-user band residencies, ascending by cell — the sparse
   /// replacement for the dense users×cells filtered-pilot plane.
   std::vector<std::vector<BandPilot>> band_;
-  /// Per-cell slot-indexed epoch scratch: the mean-SNR/pilot snapshot row
-  /// fed to (and read back from) the cell's bank. Only band members'
-  /// slots are written or read.
+  /// Per-cell slot-indexed epoch scratch: the mean-SNR row the link plane
+  /// writes and the cell's bank is fed from, overwritten in place by the
+  /// pilot snapshot. Only band members' slots are written or read.
   std::vector<std::vector<double>> plane_rows_;
   /// Per-cell slot-indexed SINR penalty rows; empty when the plane is
   /// disabled.
@@ -429,6 +455,9 @@ class CellularWorld {
   /// Per-shard proposal arenas (size num_shards_; arena s is written only
   /// by shard s's task and read only by the coordinator between barriers).
   std::vector<ShardArena> shard_arenas_;
+  /// Link-plane scratch, one per user chunk (chunk k is written only by
+  /// the task that claimed it).
+  std::vector<LinkChunk> link_chunks_;
   /// Per-cell aggregate load (activity × attached users) frozen by the
   /// coordinator each epoch; read-only inside the parallel cell tasks.
   std::vector<double> cell_load_;
@@ -440,7 +469,7 @@ class CellularWorld {
   std::vector<char> prev_dark_;
   double pilot_alpha_ = 1.0;
   // Path loss in per-site precomputed form: db = C - K/2 * ln(d²) with the
-  // reference-distance log10 folded into C, so the per-(user, cell) epoch
+  // reference-distance log10 folded into C, so the per-(user, site) epoch
   // cost is one ln of the squared distance — no sqrt, no division-by-d0.
   double path_loss_c_db_ = 0.0;
   double path_loss_half_k_ = 0.0;

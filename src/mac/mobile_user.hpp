@@ -86,12 +86,11 @@ class MobileUser {
   /// sources (talkspurt phase, pending packets, data backlog — the
   /// continuity a handoff must preserve) and the contention backoff scale.
   /// The channel is *not* carried: each cell's link fades independently.
+  /// A source this cell already holds from an earlier stay is assigned
+  /// into in place, so a hand-back allocates nothing.
   void adopt_service_state(const MobileUser& other) {
-    voice_ = other.voice_
-                 ? std::make_unique<traffic::VoiceSource>(*other.voice_)
-                 : nullptr;
-    data_ = other.data_ ? std::make_unique<traffic::DataSource>(*other.data_)
-                        : nullptr;
+    adopt(voice_, other.voice_);
+    adopt(data_, other.data_);
     backoff_scale_ = other.backoff_scale_;
   }
 
@@ -118,6 +117,20 @@ class MobileUser {
   }
 
  private:
+  /// Makes `mine` a copy of `theirs` (null when theirs is), reusing
+  /// mine's object when both exist.
+  template <typename Source>
+  static void adopt(std::unique_ptr<Source>& mine,
+                    const std::unique_ptr<Source>& theirs) {
+    if (!theirs) {
+      mine.reset();
+    } else if (mine) {
+      *mine = *theirs;
+    } else {
+      mine = std::make_unique<Source>(*theirs);
+    }
+  }
+
   double backoff_scale_ = 1.0;
   bool present_ = false;
   common::UserId id_;

@@ -458,6 +458,68 @@ TEST(ChannelBank, RangeWritesMatchAllWritesWithVacancies) {
   }
 }
 
+TEST(ChannelBank, BulkFedLinearFactorsConvertOnReadBitForBit) {
+  // set_mean_snr_db_all / set_interference_db_all store dB only; the first
+  // snr_linear read converts. The read must equal the product of the
+  // eagerly converted factors exactly — for a row read before a re-feed
+  // (its cached factors must not survive the re-feed), a row first read
+  // after it, a repeated read, and on the sparse branch that skips vacant
+  // rows as well as on a full bank.
+  for (const bool sparse : {false, true}) {
+    SCOPED_TRACE(sparse ? "sparse" : "full");
+    ChannelBank bank(test_config());
+    constexpr std::size_t kUsers = 6;
+    for (std::uint64_t s = 1; s <= kUsers; ++s) {
+      bank.acquire_user(common::RngStream(s));
+    }
+    if (sparse) bank.release_user(3);
+    int step = 0;
+    auto advance = [&](int frames) {
+      for (int i = 0; i < frames; ++i) {
+        bank.advance_all_to(static_cast<double>(++step) * 2.5e-3);
+      }
+    };
+    // What an eager bank multiplied: from_db of the mean and of the negated
+    // penalty, around the fading power and the shadowing factor (the
+    // bank's exp(ln10/10 · dB) conversion).
+    auto eager = [&bank](std::size_t u, double mean_db, double interf_db) {
+      return common::from_db(mean_db) * bank.fading_power(u) *
+             std::exp(0.23025850929940457 * bank.shadow_db(u)) *
+             common::from_db(-interf_db);
+    };
+    advance(30);
+    std::vector<double> mean(kUsers), interf(kUsers);
+    for (std::size_t u = 0; u < kUsers; ++u) {
+      mean[u] = 9.0 + 1.7 * static_cast<double>(u);
+      interf[u] = 0.3 * static_cast<double>(u);
+    }
+    bank.set_mean_snr_db_all(mean);
+    bank.set_interference_db_all(interf);
+    for (const std::size_t u : {std::size_t{0}, std::size_t{4}}) {
+      EXPECT_EQ(bank.snr_linear(u), eager(u, mean[u], interf[u])) << u;
+    }
+    advance(3);
+    for (std::size_t u = 0; u < kUsers; ++u) {
+      mean[u] -= 2.5;
+      interf[u] += 1.1;
+    }
+    bank.set_mean_snr_db_all(mean);
+    bank.set_interference_db_all(interf);
+    for (std::size_t u = 0; u < kUsers; ++u) {
+      if (bank.vacant(u)) {
+        // Skipped by both setters: the row keeps its seeded values.
+        EXPECT_EQ(bank.mean_snr_db(u), 16.0);
+        EXPECT_EQ(bank.interference_db(u), 0.0);
+        continue;
+      }
+      const double expected = eager(u, mean[u], interf[u]);
+      EXPECT_EQ(bank.snr_linear(u), expected) << u;
+      EXPECT_EQ(bank.snr_linear(u), expected) << u;  // cached read
+      EXPECT_EQ(bank.snr_db(u), common::to_db(expected)) << u;
+    }
+  }
+}
+
 TEST(ChannelBank, SnrDbRangeMatchesSnrDbAllAndSkipsVacantRows) {
   // The bulk pilot read on a bank with a free-list row: active entries
   // agree with the scalar snr_db() to rounding, as in

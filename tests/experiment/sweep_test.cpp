@@ -63,6 +63,32 @@ TEST(Sweep, SeriesExtraction) {
   EXPECT_EQ(series[1].first, 10);
 }
 
+TEST(Sweep, CellsKeepGridOrderAndSeedsWhateverTheJobOrder) {
+  // Jobs start from the largest x, but the cells come back in (x,
+  // protocol) order and each one is exactly the serial run of its point:
+  // the seed key is the x index, not the submission position. Unsorted x
+  // values make the two orders differ in both directions.
+  auto config = small_sweep();
+  config.x_values = {6, 12, 3};
+  ParallelRunner runner(2);
+  const auto cells = run_sweep(config, runner);
+  ASSERT_EQ(cells.size(), 6u);
+  for (std::size_t xi = 0; xi < config.x_values.size(); ++xi) {
+    for (std::size_t pi = 0; pi < config.protocols_to_run.size(); ++pi) {
+      const auto& cell = cells[xi * config.protocols_to_run.size() + pi];
+      EXPECT_EQ(cell.x, config.x_values[xi]);
+      EXPECT_EQ(cell.protocol, config.protocols_to_run[pi]);
+      RunSpec spec = config.spec;
+      spec.params.num_voice_users = config.x_values[xi];
+      const auto serial = run_replications(config.protocols_to_run[pi], spec,
+                                           static_cast<std::uint64_t>(xi));
+      EXPECT_EQ(cell.result.voice_loss.mean(), serial.voice_loss.mean());
+      EXPECT_EQ(cell.result.data_throughput.mean(),
+                serial.data_throughput.mean());
+    }
+  }
+}
+
 TEST(Sweep, DeterministicAcrossRuns) {
   ParallelRunner runner(2);
   const auto a = run_sweep(small_sweep(), runner);

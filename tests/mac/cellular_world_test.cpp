@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/math.hpp"
@@ -302,6 +303,81 @@ TEST(CellularWorldInterference, WorldPenaltyMatchesReferenceFormula) {
       EXPECT_NEAR(world.interference_db(static_cast<common::UserId>(u), c),
                   common::to_db(1.0 + inr), 1e-9)
           << "user " << u << " cell " << c;
+    }
+  }
+}
+
+TEST(CellularWorldInterference, LinkPlaneMatchesReferenceEveryEpoch) {
+  // The link plane computes each (user, site) path-loss term once per
+  // epoch and shares it across the user's band links. Every link's
+  // penalty must still equal the reference formula at that epoch's
+  // position and loads exactly, and its mean SNR the path-loss curve — so
+  // a term carried over from another user or an earlier epoch shows up as
+  // an inequality. Moving users on a 19-cell reuse-3 hex world, with every
+  // cell in the band and with a partial band, serial and on four threads.
+  for (const double band : {0.0, 700.0}) {
+    for (const unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE("band " + std::to_string(band) + " threads " +
+                   std::to_string(threads));
+      CellularConfig cfg;
+      cfg.num_cells = 19;
+      cfg.num_threads = threads;
+      // More users than the link plane's 64 chunks, so chunks hold
+      // several users in turn.
+      cfg.params.num_voice_users = 120;
+      cfg.params.num_data_users = 30;
+      cfg.params.seed = 31;
+      cfg.layout.kind = SiteLayoutConfig::Kind::kHex;
+      cfg.layout.site_spacing_m = 600.0;
+      cfg.layout.reuse_factor = 3;
+      const auto [width, height] = SiteLayout::hex_field_extent(19, 600.0);
+      cfg.mobility.field_width_m = width;
+      cfg.mobility.field_height_m = height;
+      cfg.mobility.speed_mps = common::km_per_hour(100.0);
+      cfg.handoff_hysteresis_db = 2.0;
+      cfg.interference_activity = 0.45;
+      cfg.pilot_band_radius_m = band;
+      CellularWorld world(cfg, factory_for(protocols::ProtocolId::kCharisma));
+      // The world's path-loss constants, by the constructor's expressions.
+      const double k = 10.0 * cfg.path_loss_exponent / 2.302585092994046;
+      const double half_k = 0.5 * k;
+      const double c_db = cfg.params.channel.mean_snr_db +
+                          k * std::log(cfg.reference_distance_m);
+      const double min_d_sq = cfg.min_distance_m * cfg.min_distance_m;
+      const int users = cfg.params.total_users();
+      std::vector<double> loads(19, 0.0);
+      int positive = 0;
+      bool partial = false;
+      for (int epoch = 0; epoch < 25; ++epoch) {
+        // The loads the coming epoch's plane reads were frozen after the
+        // previous epoch's attachment.
+        for (int c = 0; c < 19; ++c) {
+          loads[static_cast<std::size_t>(c)] = world.cell_load(c);
+        }
+        world.advance(cfg.decision_interval);
+        for (int u = 0; u < users; ++u) {
+          const auto id = static_cast<common::UserId>(u);
+          const Vec2 pos = world.mobility().position(u);
+          const auto cells = world.band_cells(id);
+          partial = partial || cells.size() < 19;
+          for (const int c : cells) {
+            const double expected = interference_penalty_db(
+                world.layout(), c, loads, pos, c_db, half_k, min_d_sq);
+            const double got = world.interference_db(id, c);
+            ASSERT_EQ(got, expected)
+                << "epoch " << epoch << " user " << u << " cell " << c;
+            positive += got > 0.0 ? 1 : 0;
+            auto& cell = world.cell(c);
+            const double d_sq =
+                std::max(world.layout().distance_sq(pos, c), min_d_sq);
+            ASSERT_EQ(cell.channel_bank().mean_snr_db(cell.user(id).slot()),
+                      c_db - half_k * std::log(d_sq))
+                << "epoch " << epoch << " user " << u << " cell " << c;
+          }
+        }
+      }
+      EXPECT_GT(positive, 0);  // the loads reached the links
+      EXPECT_EQ(partial, band > 0.0);
     }
   }
 }

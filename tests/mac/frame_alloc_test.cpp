@@ -268,5 +268,82 @@ TEST(FrameAlloc, LiveTrafficWorldEpochsAreAllocationFree) {
   }
 }
 
+TEST(FrameAlloc, InterferenceWorldEpochsAreAllocationFree) {
+  // The link-plane round with the co-channel interference plane on: a
+  // static 7-cell hex world at reuse 3, every user in every cell's band,
+  // stepped by two threads so the user chunks and the cell tasks both go
+  // through the pool's dispatch. Once the chunks' site scratch and the
+  // plane rows exist, an epoch must allocate nothing.
+  mac::CellularConfig cfg;
+  cfg.num_cells = 7;
+  cfg.num_threads = 2;
+  cfg.params.num_voice_users = 40;
+  cfg.params.num_data_users = 0;
+  cfg.params.seed = 3;
+  cfg.params.mean_silence_s = 1e9;  // silent after the initial talkspurts
+  cfg.layout.kind = mac::SiteLayoutConfig::Kind::kHex;
+  cfg.layout.site_spacing_m = 600.0;
+  cfg.layout.reuse_factor = 3;
+  const auto [width, height] = mac::SiteLayout::hex_field_extent(7, 600.0);
+  cfg.mobility.field_width_m = width;
+  cfg.mobility.field_height_m = height;
+  cfg.mobility.speed_mps = 0.0;
+  cfg.handoff_hysteresis_db = 100.0;
+  cfg.interference_activity = 0.45;
+  mac::CellularWorld world(cfg, [](const mac::ScenarioParams& params) {
+    return protocols::make_protocol(protocols::ProtocolId::kCharisma,
+                                    params);
+  });
+  world.run(0.5, 0.5);
+  world.advance(4.0);  // let the initial talkspurts drain
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  world.advance(1.0);
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
+  // The plane carried load: some link saw a non-zero penalty.
+  EXPECT_GT(world.aggregate_metrics().interference_db.mean(), 0.0);
+}
+
+TEST(FrameAlloc, VoiceHandBackIntoAHeldCellIsAllocationFree) {
+  // A hand-in into a cell where the user already holds traffic sources
+  // from an earlier stay assigns into them: no new source objects and, in
+  // mt mode, no fresh ~2.5 KB mt19937_64. Two single-cell engines stand in
+  // for two cells of a dense world, and each hand-in is the world's
+  // move_user sequence: adopt, drop the in-flight packet, detach, attach.
+  for (const auto kind : {common::RngKind::kMt, common::RngKind::kCompact}) {
+    SCOPED_TRACE(kind == common::RngKind::kMt ? "mt" : "compact");
+    mac::ScenarioParams params;
+    params.num_voice_users = 4;
+    params.num_data_users = 0;
+    params.seed = 13;
+    params.traffic_rng = kind;
+    auto a = protocols::make_protocol(protocols::ProtocolId::kCharisma, params);
+    auto b = protocols::make_protocol(protocols::ProtocolId::kCharisma, params);
+    a->run(0.2, 0.2);
+    b->run(0.2, 0.2);
+    const common::UserId u = 0;
+    b->detach_user(u, /*outage=*/false);  // u lives in a; b keeps sources
+    auto hand = [u](mac::ProtocolEngine& from, mac::ProtocolEngine& to) {
+      to.user(u).adopt_service_state(from.user(u));
+      to.user(u).drop_pending_voice();
+      from.detach_user(u, /*outage=*/false);
+      to.attach_user(u);
+    };
+    hand(*a, *b);  // warm: both cells have seen u attached
+    hand(*b, *a);
+    const std::uint64_t before =
+        g_allocations.load(std::memory_order_relaxed);
+    hand(*a, *b);
+    hand(*b, *a);
+    EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
+    // The service state was carried, not left behind.
+    EXPECT_TRUE(a->user(u).present());
+    EXPECT_FALSE(b->user(u).present());
+    EXPECT_EQ(a->user(u).voice().packets_generated(),
+              b->user(u).voice().packets_generated());
+    EXPECT_EQ(a->user(u).voice().next_packet_at(),
+              b->user(u).voice().next_packet_at());
+  }
+}
+
 }  // namespace
 }  // namespace charisma

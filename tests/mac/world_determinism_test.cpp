@@ -206,6 +206,31 @@ TEST_P(HexWorldDeterminism, SparseBandBitIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST_P(HexWorldDeterminism, LazyDenseBitIdenticalAcrossThreadCounts) {
+  // The lazy_dense_world shape in small: lazy channel, compact traffic
+  // RNG, every cell in every band, interference on. The user-chunked link
+  // plane writes the cells' rows from any thread, and the lazy banks fill
+  // their read-time caches inside the cell tasks; under TSan this sweep
+  // race-checks both.
+  auto make = [](unsigned threads) {
+    auto cfg = hex_world_config(threads);
+    cfg.params.lazy_channel = true;
+    cfg.params.traffic_rng = common::RngKind::kCompact;
+    return cfg;
+  };
+  CellularWorld serial(make(1), factory_for(GetParam()));
+  serial.run(0.3, 1.2);
+  const auto reference = serial.aggregate_metrics();
+  ASSERT_GT(reference.voice_generated, 0);
+  ASSERT_GT(reference.interference_db.mean(), 0.0);
+  for (unsigned threads : {2u, 4u, 0u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    CellularWorld parallel(make(threads), factory_for(GetParam()));
+    parallel.run(0.3, 1.2);
+    expect_worlds_identical(serial, parallel);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Protocols, HexWorldDeterminism,
                          ::testing::Values(protocols::ProtocolId::kCharisma,
                                            protocols::ProtocolId::kRmav),
