@@ -324,29 +324,27 @@ void CellularWorld::update_link_plane() {
         for (std::size_t u = begin; u < end; ++u) {
           const Vec2 pos = mobility_.position(static_cast<int>(u));
           const std::uint64_t ticket = ++chunk.ticket;
-          auto term_db = [&](int s) {
+          auto term = [&](int s) -> LinkTerm& {
             LinkTerm& t = chunk.sites[static_cast<std::size_t>(s)];
-            if (t.db_ticket != ticket) {
+            if (t.ticket != ticket) {
               const double d_sq =
                   std::max(layout_.distance_sq(pos, s), min_distance_sq_m2_);
               t.db = path_loss_c_db_ - path_loss_half_k_ * std::log(d_sq);
-              t.db_ticket = ticket;
+              t.linear = -1.0;  // converted once an interferer needs it
+              t.ticket = ticket;
             }
-            return t.db;
+            return t;
           };
           for (const BandPilot& e : band_[u]) {
             const auto c = static_cast<std::size_t>(e.cell);
-            plane_rows_[c][e.slot] = term_db(e.cell);
+            plane_rows_[c][e.slot] = term(e.cell).db;
             if (!interf) continue;
             double inr = 0.0;
             for (const int s : cochannel_[c]) {
               const double load = cell_load_[static_cast<std::size_t>(s)];
               if (load <= 0.0) continue;
-              LinkTerm& t = chunk.sites[static_cast<std::size_t>(s)];
-              if (t.linear_ticket != ticket) {
-                t.linear = common::from_db(term_db(s));
-                t.linear_ticket = ticket;
-              }
+              LinkTerm& t = term(s);
+              if (t.linear < 0.0) t.linear = common::from_db(t.db);
               inr += load * t.linear;
             }
             interference_rows_[c][e.slot] = common::to_db(1.0 + inr);

@@ -305,9 +305,8 @@ class CellularWorld {
   /// carry over from another user or another epoch.
   struct LinkTerm {
     double db = 0.0;      ///< C − K/2 · ln(max(d², d_min²))
-    double linear = 0.0;  ///< from_db(db)
-    std::uint64_t db_ticket = 0;
-    std::uint64_t linear_ticket = 0;
+    double linear = 0.0;  ///< from_db(db); < 0 until an interferer needs it
+    std::uint64_t ticket = 0;
   };
   /// Per-chunk scratch of the link-plane round: one LinkTerm per site,
   /// and the ticket bumped once per user.
