@@ -306,8 +306,7 @@ void ChannelBank::set_mean_snr_db_all(std::span<const double> db) {
     }
     return;
   }
-  std::copy(db.begin(), db.begin() + static_cast<std::ptrdiff_t>(n),
-            mean_snr_db_.begin());
+  std::copy_n(db.begin(), n, mean_snr_db_.begin());
   std::fill(mean_snr_linear_.begin(), mean_snr_linear_.end(), kStaleLinear);
 }
 
@@ -325,8 +324,7 @@ void ChannelBank::set_interference_db_all(std::span<const double> db) {
     }
     return;
   }
-  std::copy(db.begin(), db.begin() + static_cast<std::ptrdiff_t>(n),
-            interference_db_.begin());
+  std::copy_n(db.begin(), n, interference_db_.begin());
   std::fill(interference_linear_.begin(), interference_linear_.end(),
             kStaleLinear);
 }
