@@ -1,7 +1,9 @@
 // Engine micro-benchmarks (google-benchmark): the hot paths of the common
 // simulation platform — per-frame channel evolution, contention
 // resolution, one simulated second per protocol, and the steady-state MAC
-// frame per protocol (BM_ProtocolFrame).
+// frame per protocol (BM_ProtocolFrame) and in a world cell whose band
+// holds far more pilot rows than attached users
+// (BM_ProtocolFrameSparseBand).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -263,6 +265,41 @@ BENCHMARK(BM_ProtocolFrame<protocols::ProtocolId::kRmav>)
     ->Name("BM_ProtocolFrame/RMAV");
 BENCHMARK(BM_ProtocolFrame<protocols::ProtocolId::kPrma>)
     ->Name("BM_ProtocolFrame/PRMA");
+
+void BM_ProtocolFrameSparseBand(benchmark::State& state) {
+  // CHARISMA's MAC frame in one cell of a band=0 world: the argument is
+  // the band rows, 90 per cell of the world (1710 = lazy_dense_world's 19
+  // cells), and every cells-th id — 80 voice, 10 data — is attached. Lazy
+  // channel and compact traffic RNG as in lazy_dense_world, so a pilot-only
+  // row costs the frame nothing but the walks that would visit it. Items
+  // are frames: /1710 should run about as fast as /90, whose band is
+  // exactly its 90 attached users.
+  const int cells = static_cast<int>(state.range(0)) / 90;
+  mac::ScenarioParams params;
+  params.num_voice_users = 80 * cells;
+  params.num_data_users = 10 * cells;
+  params.seed = 11;
+  params.request_queue = true;
+  params.lazy_channel = true;
+  params.traffic_rng = common::RngKind::kCompact;
+  params.defer_population = true;
+  auto engine = protocols::make_protocol(protocols::ProtocolId::kCharisma,
+                                         params);
+  for (int id = 0; id < params.total_users(); ++id) {
+    engine->band_admit(static_cast<common::UserId>(id), false);
+  }
+  for (int id = 0; id < params.total_users(); id += cells) {
+    engine->attach_user_initial(static_cast<common::UserId>(id));
+  }
+  engine->advance_by(5.0);
+  const std::int64_t frames_before = engine->metrics().frames;
+  const double frame = params.geometry.frame_duration;
+  for (auto _ : state) {
+    engine->advance_by(frame);
+  }
+  state.SetItemsProcessed(engine->metrics().frames - frames_before);
+}
+BENCHMARK(BM_ProtocolFrameSparseBand)->Arg(90)->Arg(1710);
 
 }  // namespace
 

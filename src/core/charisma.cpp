@@ -114,7 +114,7 @@ void CharismaProtocol::run_contention_phase() {
   candidates_.reserve(band_size());
   candidates_.clear();
   for (auto& u : users()) {
-    if (!u.present()) continue;
+    assert(u.present());
     if (requests_.contains(u.slot())) continue;
     if (u.is_voice()) {
       if (!u.voice().has_packet()) continue;

@@ -196,6 +196,7 @@ void CellularWorld::propose_bands(bool include_attached) {
                                                std::size_t begin,
                                                std::size_t end) {
     auto& arena = shard_arenas_[s];
+    arena.band_users.clear();
     arena.band_cells.clear();
     arena.band_offsets.clear();
     arena.band_offsets.push_back(0);
@@ -203,17 +204,28 @@ void CellularWorld::propose_bands(bool include_attached) {
       const std::size_t tail = arena.band_cells.size();
       site_index_.cells_near(mobility_.position(static_cast<int>(u)),
                              arena.band_cells, arena.mark_scratch);
+      const auto offset = static_cast<std::ptrdiff_t>(tail);
       if (include_attached) {
         // The attached cell is pinned into the band whatever the geometry
         // says: presence must never be released out from under the user.
         const int a = attached_[u];
-        const auto first =
-            arena.band_cells.begin() + static_cast<std::ptrdiff_t>(tail);
-        const auto it = std::lower_bound(first, arena.band_cells.end(), a);
+        const auto it = std::lower_bound(arena.band_cells.begin() + offset,
+                                         arena.band_cells.end(), a);
         if (it == arena.band_cells.end() || *it != a) {
           arena.band_cells.insert(it, a);
         }
       }
+      // Only a changed band is proposed: an unchanged one would diff to
+      // no admit, no release and the same entries. band_[u] is written
+      // only by the coordinator's apply, after this round's barrier.
+      const auto& band = band_[u];
+      if (std::equal(arena.band_cells.begin() + offset,
+                     arena.band_cells.end(), band.begin(), band.end(),
+                     [](int c, const BandPilot& e) { return c == e.cell; })) {
+        arena.band_cells.resize(tail);
+        continue;
+      }
+      arena.band_users.push_back(static_cast<std::uint32_t>(u));
       arena.band_offsets.push_back(
           static_cast<std::uint32_t>(arena.band_cells.size()));
     }
@@ -225,17 +237,16 @@ void CellularWorld::apply_band_proposals() {
   // admits and releases in the same deterministic sequence regardless of
   // shard or thread count, so the banks' free lists — and with them every
   // later draw — are bit-identical between serial and parallel runs.
-  const std::size_t users = attached_.size();
-  const std::size_t shards = std::min<std::size_t>(num_shards_, users);
+  // Shards cover ascending contiguous ranges and list their changed users
+  // ascending, so arena order is user order.
+  const std::size_t shards =
+      std::min<std::size_t>(num_shards_, attached_.size());
   for (std::size_t s = 0; s < shards; ++s) {
     const auto& arena = shard_arenas_[s];
-    const std::size_t begin = s * users / shards;
-    const std::size_t end = (s + 1) * users / shards;
-    for (std::size_t u = begin; u < end; ++u) {
-      const std::size_t k = u - begin;
+    for (std::size_t k = 0; k < arena.band_users.size(); ++k) {
       const std::uint32_t lo = arena.band_offsets[k];
       const std::uint32_t hi = arena.band_offsets[k + 1];
-      update_user_band(static_cast<int>(u),
+      update_user_band(static_cast<int>(arena.band_users[k]),
                        {arena.band_cells.data() + lo, hi - lo});
     }
   }
@@ -363,29 +374,18 @@ void CellularWorld::update_cell_snr_plane(int c) {
   // dark cell's bank is still fed the true plane (fading state and draw
   // order must not depend on the outage schedule); only the *broadcast*
   // pilot vanishes, which the blend imposes from the dark flags without
-  // ever reading the snapshot. The per-epoch penalty-mean metric is
-  // replayed by the coordinator (note_interference_epochs) after the
-  // barrier.
+  // ever reading the snapshot.
   const auto ci = static_cast<std::size_t>(c);
-  auto& bank = cells_[ci]->channel_bank();
+  auto& cell = *cells_[ci];
+  auto& bank = cell.channel_bank();
   const std::size_t rows = bank.size();
   double* row = plane_rows_[ci].data();
   bank.set_mean_snr_db_all({row, rows});
   if (interference_enabled()) {
-    bank.set_interference_db_all({interference_rows_[ci].data(), rows});
-  }
-  bank.snr_db_all({row, rows});
-}
-
-void CellularWorld::note_interference_epochs() {
-  if (!interference_enabled()) return;
-  // Coordinator replay of each cell's penalty mean: band order is id
-  // order, exactly the order the historical inline loop accumulated in,
-  // so the sum — and the metric — is bitwise unchanged.
-  for (std::size_t c = 0; c < cells_.size(); ++c) {
-    auto& cell = *cells_[c];
+    const double* irow = interference_rows_[ci].data();
+    bank.set_interference_db_all({irow, rows});
+    // The cell's penalty-mean metric, summed in band order (== id order).
     const auto& band = cell.band();
-    const double* irow = interference_rows_[c].data();
     double penalty_sum = 0.0;
     for (const BandMember& m : band) {
       penalty_sum += irow[m.slot];
@@ -394,13 +394,13 @@ void CellularWorld::note_interference_epochs() {
         band.empty() ? 0.0
                      : penalty_sum / static_cast<double>(band.size()));
   }
+  bank.snr_db_all({row, rows});
 }
 
 void CellularWorld::update_snr_planes() {
   pool_->for_each(cells_.size(), [this](std::size_t c) {
     update_cell_snr_plane(static_cast<int>(c));
   });
-  note_interference_epochs();
 }
 
 void CellularWorld::update_cell_loads() {

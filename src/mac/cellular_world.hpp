@@ -309,8 +309,9 @@ class CellularWorld {
     std::uint64_t ticket = 0;
   };
   /// Per-chunk scratch of the link-plane round: one LinkTerm per site,
-  /// and the ticket bumped once per user.
-  struct LinkChunk {
+  /// and the ticket bumped once per user. Line-aligned: neighbouring
+  /// chunks run at the same time and bump their tickets per user.
+  struct alignas(64) LinkChunk {
     std::vector<LinkTerm> sites;
     std::uint64_t ticket = 0;
   };
@@ -318,12 +319,14 @@ class CellularWorld {
   /// Per-shard proposal arena — everything a world-plane shard writes.
   /// Shards own disjoint arenas, so the parallel phases share nothing;
   /// vectors are clear()ed per epoch and reach steady capacity, after
-  /// which the epoch path allocates nothing.
-  struct ShardArena {
+  /// which the epoch path allocates nothing. Line-aligned, so one shard's
+  /// vector headers never share a cache line with its neighbour's.
+  struct alignas(64) ShardArena {
     std::vector<MobilityModel::Suspended> suspended;
-    /// Concatenated per-user new band rosters (ascending cells per user)
-    /// with offsets[k] .. offsets[k+1] delimiting the k-th user of the
-    /// shard's range.
+    /// The shard's users whose band changed, ascending, and their new
+    /// band rosters concatenated (ascending cells per user) with
+    /// offsets[k] .. offsets[k+1] delimiting band_users[k]'s.
+    std::vector<std::uint32_t> band_users;
     std::vector<int> band_cells;
     std::vector<std::uint32_t> band_offsets;
     std::vector<AttachMove> moves;
@@ -349,14 +352,14 @@ class CellularWorld {
 
   /// Sharded band-roster proposals: each shard queries SiteIndex for its
   /// users' new cell sets (plus the pinned attached cell when
-  /// `include_attached`) into its arena. Pure computation — no engine is
-  /// touched.
+  /// `include_attached`) and proposes, into its arena, those that differ
+  /// from band_[u]. Pure computation — no engine is touched.
   void propose_bands(bool include_attached);
   /// Coordinator merge of the band proposals in ascending user-id order:
   /// admits entrants into / releases leavers from the cell engines and
-  /// rebuilds band_[u]. The deterministic admit/release order is what
-  /// keeps the banks' free lists, and therefore the whole world,
-  /// bit-identical at any shard/thread count.
+  /// rebuilds band_[u] — O(users whose band changed). The deterministic
+  /// admit/release order is what keeps the banks' free lists, and
+  /// therefore the whole world, bit-identical at any shard/thread count.
   void apply_band_proposals();
   /// The two-pointer diff of one user's old band against its proposed
   /// cell set (both ascending), issuing band_release/band_admit.
@@ -375,22 +378,19 @@ class CellularWorld {
   /// interference_rows_, from the coordinator-frozen loads. Each (user,
   /// site) path-loss term is computed once (LinkChunk) and shared by every
   /// link that uses it; the expressions and summation order are those of
-  /// mac::interference_penalty_db, bit for bit. O(users × band) work and
-  /// memory, never users × cells.
+  /// mac::interference_penalty_db, bit for bit. Memory is O(users ×
+  /// band); so is the work without interference. With it, each band link
+  /// walks every co-channel site of the layout, so the libm work is
+  /// O(users × sites) whatever the band radius.
   void update_link_plane();
   /// Per-cell epoch task (runs on the pool): feed the bank the cell's
-  /// mean-SNR and interference rows, then take the pilot snapshot into
-  /// this cell's slot-indexed plane row.
+  /// mean-SNR and interference rows, record the cell's penalty mean
+  /// (summed in band order, i.e. id order), then take the pilot snapshot
+  /// into this cell's slot-indexed plane row.
   void update_cell_snr_plane(int c);
-  /// The per-epoch bank update: one share-nothing task per cell, followed
-  /// by the coordinator's penalty-mean replay. update_link_plane must
-  /// have filled the rows.
+  /// The per-epoch bank update: one share-nothing task per cell.
+  /// update_link_plane must have filled the rows.
   void update_snr_planes();
-  /// Coordinator replay of each cell's per-member interference penalties
-  /// (band order == id order) into the engines' penalty-mean metric —
-  /// hoisted out of the cell tasks, summing the same values in the same
-  /// order as the historical inline loop.
-  void note_interference_epochs();
   /// Coordinator step after attachment: refreshes cell_load_ (activity ×
   /// attached users per cell) for the next epoch's interference plane.
   void update_cell_loads();

@@ -66,6 +66,7 @@ ProtocolEngine::ProtocolEngine(const ScenarioParams& params)
     bank_.reserve(total);
     users_.reserve(total);
     band_.reserve(total);
+    roster_.reserve(total);
     for (int i = 0; i < params.total_users(); ++i) {
       band_admit(static_cast<common::UserId>(i), true);
     }
@@ -123,10 +124,14 @@ MobileUser& ProtocolEngine::band_admit(common::UserId id,
     next_due_.push_back(kInf);
   } else {
     users_[slot] = std::move(u);
-    next_due_[slot] = kInf;
   }
   if (slot != static_cast<std::size_t>(id)) identity_ = false;
   band_.insert(pos, BandMember{id, static_cast<std::uint32_t>(slot)});
+  // Room for every band member to attach: mark_present never allocates.
+  // Geometric, so building a band costs O(log band) roster reallocations.
+  if (roster_.capacity() < band_.size()) {
+    roster_.reserve(std::max(band_.size(), 2 * roster_.capacity()));
+  }
   MobileUser& ref = *users_[slot];
   if (materialize_traffic) {
     ref.ensure_traffic(params_);
@@ -148,7 +153,6 @@ void ProtocolEngine::band_release(common::UserId id) {
   }
   ++rebirths_[id];
   users_[slot].reset();
-  next_due_[slot] = kInf;
   bank_.release_user(slot);
   band_.erase(it);
   identity_ = false;
@@ -200,12 +204,19 @@ void ProtocolEngine::detach_user(common::UserId id, bool outage) {
   }
   ++(outage ? metrics_.outage_evictions : metrics_.handoffs_out);
   u.set_present(false);
-  --present_count_;
-  next_due_[u.slot()] = kInf;
+  roster_.erase(std::lower_bound(
+      roster_.begin(), roster_.end(), id,
+      [](const BandMember& m, common::UserId v) { return m.id < v; }));
 }
 
 void ProtocolEngine::mark_present(MobileUser& u) {
-  if (!u.present()) ++present_count_;
+  if (!u.present()) {
+    const auto pos = std::lower_bound(
+        roster_.begin(), roster_.end(), u.id(),
+        [](const BandMember& m, common::UserId v) { return m.id < v; });
+    roster_.insert(pos,
+                   BandMember{u.id(), static_cast<std::uint32_t>(u.slot())});
+  }
   u.set_present(true);
   next_due_[u.slot()] = -kInf;
 }
@@ -302,19 +313,19 @@ void ProtocolEngine::advance_world() {
   } else {
     bank_.advance_all_to(t);
   }
-  // Traffic: only the slots whose due time has come are ticked — the same
-  // bound on_frame applies itself, so a skipped tick is one that would
-  // have returned an empty update. The sums are order-free, so slot order
-  // reproduces the historical ascending-id loop.
+  // Traffic: only the attached users whose due time has come are ticked —
+  // the same bound on_frame applies itself, so a skipped tick is one that
+  // would have returned an empty update. The roster is the historical
+  // ascending-id loop restricted to the users it ever ticked.
   const common::Time due_by = t + kTimeEps;
-  for (std::size_t slot = 0; slot < next_due_.size(); ++slot) {
-    if (next_due_[slot] > due_by) {
-      assert(!users_[slot] || !users_[slot]->present() ||
-             !traffic_due(*users_[slot], due_by));
-      continue;
-    }
+  for (const BandMember& m : roster_) {
+    const std::size_t slot = m.slot;
     MobileUser& u = *users_[slot];
     assert(u.present());
+    if (next_due_[slot] > due_by) {
+      assert(!traffic_due(u, due_by));
+      continue;
+    }
     if (u.is_voice()) {
       const auto update = u.voice().on_frame(t);
       metrics_.voice_generated += update.packets_generated;
@@ -326,8 +337,9 @@ void ProtocolEngine::advance_world() {
       next_due_[slot] = u.data().next_burst_at();
     }
   }
-  metrics_.attached_user_frames += present_count_;
-  if (barring_) barr_win_user_frames_ += present_count_;
+  const auto attached = static_cast<std::int64_t>(roster_.size());
+  metrics_.attached_user_frames += attached;
+  if (barring_) barr_win_user_frames_ += attached;
 }
 
 double ProtocolEngine::permission_prob(const MobileUser& u) const {

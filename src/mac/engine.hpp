@@ -50,8 +50,8 @@ struct BandMember {
 
 class MobileUser;
 
-/// Range view over an engine's band-resident users in ascending user-id
-/// order — the sparse-presence replacement for the historical
+/// Range view over an engine's attached users in ascending user-id order —
+/// the sparse-presence replacement for the historical
 /// `std::vector<MobileUser>&` that users() returned. Protocols range-for
 /// it exactly as before; the indirection through slots is the only change.
 class UserBand {
@@ -74,18 +74,18 @@ class UserBand {
     const std::unique_ptr<MobileUser>* slots_;
   };
 
-  UserBand(const std::vector<BandMember>& band,
+  UserBand(const std::vector<BandMember>& members,
            const std::vector<std::unique_ptr<MobileUser>>& slots)
-      : band_(&band), slots_(&slots) {}
-  iterator begin() const { return {band_->data(), slots_->data()}; }
+      : members_(&members), slots_(&slots) {}
+  iterator begin() const { return {members_->data(), slots_->data()}; }
   iterator end() const {
-    return {band_->data() + band_->size(), slots_->data()};
+    return {members_->data() + members_->size(), slots_->data()};
   }
-  std::size_t size() const { return band_->size(); }
-  bool empty() const { return band_->empty(); }
+  std::size_t size() const { return members_->size(); }
+  bool empty() const { return members_->empty(); }
 
  private:
-  const std::vector<BandMember>* band_;
+  const std::vector<BandMember>* members_;
   const std::vector<std::unique_ptr<MobileUser>>* slots_;
 };
 
@@ -201,9 +201,10 @@ class ProtocolEngine {
   common::Time now() const { return now_; }
   common::FrameIndex frame_index() const { return frame_index_; }
 
-  /// The band-resident users in ascending user-id order (historically: the
-  /// whole population).
-  UserBand users() { return {band_, users_}; }
+  /// The attached users in ascending user-id order (historically: the
+  /// whole population). Band rows held only for their pilots are not in
+  /// it, so a frame walk costs O(attached), not O(band).
+  UserBand users() { return {roster_, users_}; }
   MobileUser& user(common::UserId id);
 
   /// The shared SoA channel state; row MobileUser::slot() is that user's
@@ -411,20 +412,22 @@ class ProtocolEngine {
   /// Failures return to the head of the queue for ARQ. Returns delivered.
   int send_data(MobileUser& u, std::optional<int> mode, int cap);
 
-  /// Slot-indexed due time of each band member's traffic tick: the
+  /// Slot-indexed due time of each attached user's traffic tick: the
   /// source's own next_event_at() / next_burst_at() after its last
-  /// on_frame, -inf for a user (re-)attached since (its first tick is
-  /// due at once) and +inf for an absent user or a vacant slot.
-  /// advance_world ticks only the slots due at the frame start. Exact
+  /// on_frame, or -inf for a user (re-)attached since (its first tick is
+  /// due at once); other slots are never read. advance_world walks the
+  /// roster and ticks only the users due at the frame start. Exact
   /// because between ticks a due time only ever moves later:
   /// consume_packet, drop_pending_voice and the ARQ push_front drop or
   /// requeue packets, set_rate_scale affects future draws only, and a
   /// hand-in's adopt_service_state precedes the attach that marks -inf.
   std::vector<common::Time> next_due_;
-  /// Band members present here (attached), maintained by attach/detach.
-  std::int64_t present_count_ = 0;
-  /// Marks `u` present (the attach paths): counted, and its traffic tick
-  /// due on the next frame.
+  /// The attached band members, ascending by id: mark_present inserts,
+  /// detach_user erases. band_admit keeps its capacity at least the
+  /// band's, so neither ever allocates.
+  std::vector<BandMember> roster_;
+  /// Marks `u` present (the attach paths): enrolled in the roster, and its
+  /// traffic tick due on the next frame.
   void mark_present(MobileUser& u);
   /// run_contention's outcome, reused across frames.
   ContentionOutcome contention_;

@@ -111,7 +111,8 @@ common::Time DrmaProtocol::process_frame() {
     candidates_.reserve(band_size());  // never grows while the band does not
     candidates_.clear();
     for (auto& u : users()) {
-      if (!u.present() || engaged(u.id())) continue;
+      assert(u.present());
+      if (engaged(u.id())) continue;
       if (wants_access(u, grid_)) candidates_.push_back(u.id());
     }
     if (candidates_.empty()) continue;  // slot stays idle

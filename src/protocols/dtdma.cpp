@@ -96,10 +96,8 @@ common::Time DtdmaProtocol::process_frame() {
   candidates_.reserve(band_size());
   candidates_.clear();
   for (auto& u : users()) {
-    if (!u.present() ||
-        requests_.contains(u.slot())) {
-      continue;
-    }
+    assert(u.present());
+    if (requests_.contains(u.slot())) continue;
     if (wants_access(u, grid_)) candidates_.push_back(u.id());
   }
   const auto& outcome = run_contention(candidates_, geom_.num_request_slots);

@@ -41,7 +41,8 @@ common::Time PrmaProtocol::process_frame() {
     transmitters_.reserve(band_size());  // never grows while the band does not
     transmitters_.clear();
     for (auto& u : users()) {
-      if (!u.present() || !wants_access(u, grid_)) continue;
+      assert(u.present());
+      if (!wants_access(u, grid_)) continue;
       if (u.rng().bernoulli(permission_prob(u) * u.backoff_scale())) {
         transmitters_.push_back(u.id());
       }

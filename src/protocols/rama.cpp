@@ -69,10 +69,8 @@ common::Time RamaProtocol::process_frame() {
   voice_contenders_.clear();
   data_contenders_.clear();
   for (auto& u : users()) {
-    if (!u.present() ||
-        requests_.contains(u.slot())) {
-      continue;
-    }
+    assert(u.present());
+    if (requests_.contains(u.slot())) continue;
     if (wants_access(u, grid_)) {
       (u.is_voice() ? voice_contenders_ : data_contenders_).push_back(u.id());
     }

@@ -53,7 +53,7 @@ common::Time RmavProtocol::process_frame() {
   candidates_.reserve(band_size());
   candidates_.clear();
   for (auto& u : users()) {
-    if (!u.present()) continue;
+    assert(u.present());
     if (u.is_voice()) {
       if (u.voice().has_packet() && !barring_blocks(u)) {
         candidates_.push_back(u.id());

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "mac/cellular_world.hpp"
+#include "mac/presence.hpp"
 #include "protocols/factory.hpp"
 
 namespace charisma::mac {
@@ -307,6 +308,85 @@ TEST(SparsePresencePartialBand, SerialAndParallelBitIdentical) {
                   serial.attached_cell(static_cast<common::UserId>(u)));
       }
     }
+  }
+}
+
+TEST(SparsePresencePartialBand, RosterIsTheAttachedBandEveryEpoch) {
+  // The MAC walks users(), the attached roster. After every epoch of a
+  // churning partial-band world — mobility, hand-offs, an outage
+  // eviction — each engine's roster must be exactly its band filtered by
+  // present(), in ascending id: a detach that left the roster stale, or an
+  // attach that skipped it, shows here.
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const auto cfg = pin_config(threads, /*band_radius_m=*/700.0);
+    CellularWorld world(cfg, factory_for(protocols::ProtocolId::kCharisma));
+    for (int epoch = 0; epoch < 60; ++epoch) {  // [0, 1.2): outage at 0.5
+      SCOPED_TRACE("epoch " + std::to_string(epoch));
+      world.advance(cfg.decision_interval);
+      for (int c = 0; c < world.num_cells(); ++c) {
+        SCOPED_TRACE("cell " + std::to_string(c));
+        auto& cell = world.cell(c);
+        std::vector<common::UserId> roster, attached_band;
+        for (auto& u : cell.users()) roster.push_back(u.id());
+        for (const BandMember& m : cell.band()) {
+          if (cell.user(m.id).present()) attached_band.push_back(m.id);
+        }
+        EXPECT_EQ(roster, attached_band);
+      }
+    }
+    const auto m = world.aggregate_metrics();
+    EXPECT_GT(m.handoffs_out, 0) << "no hand-off — the roster never churned";
+    EXPECT_GT(m.outage_evictions, 0) << "no outage eviction";
+  }
+}
+
+TEST(SparsePresencePartialBand, BandIsCellsNearPlusAttachedEveryEpoch) {
+  // propose_bands hands the coordinator only the users whose band changed.
+  // Whatever it skips, every user's band after every epoch must still be
+  // the SiteIndex cells near its new position plus the cell it was
+  // attached to when the epoch began (a hand-off inside the epoch moves
+  // it to a band cell, which the union already holds). Fast users and
+  // 0.1 s epochs make some bands swap a cell for another at the same
+  // size, so a comparison of sizes alone would fail here too.
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    auto cfg = pin_config(threads, /*band_radius_m=*/650.0);
+    cfg.mobility.speed_mps = common::km_per_hour(2000.0);
+    cfg.decision_interval = 0.1;
+    CellularWorld world(cfg, factory_for(protocols::ProtocolId::kCharisma));
+    SiteIndex index;
+    index.rebuild(world.layout(), cfg.pilot_band_radius_m);
+    const int users = world.cell(0).params().total_users();
+    std::vector<int> pinned(static_cast<std::size_t>(users));
+    std::vector<std::vector<int>> previous(static_cast<std::size_t>(users));
+    int changes = 0, swaps = 0;
+    for (int epoch = 0; epoch < 60; ++epoch) {
+      SCOPED_TRACE("epoch " + std::to_string(epoch));
+      for (int u = 0; u < users; ++u) {
+        pinned[static_cast<std::size_t>(u)] =
+            world.attached_cell(static_cast<common::UserId>(u));
+      }
+      world.advance(cfg.decision_interval);
+      for (int u = 0; u < users; ++u) {
+        const auto uid = static_cast<common::UserId>(u);
+        std::vector<int> expected;
+        index.cells_near(world.mobility().position(u), expected);
+        const int a = pinned[static_cast<std::size_t>(u)];
+        const auto it = std::lower_bound(expected.begin(), expected.end(), a);
+        if (it == expected.end() || *it != a) expected.insert(it, a);
+        const auto cells = world.band_cells(uid);
+        EXPECT_EQ(cells, expected) << "user " << u;
+        auto& last = previous[static_cast<std::size_t>(u)];
+        if (epoch > 0 && cells != last) {
+          ++changes;
+          if (cells.size() == last.size()) ++swaps;
+        }
+        last = cells;
+      }
+    }
+    EXPECT_GT(changes, 0) << "no band ever changed — the delta went untested";
+    EXPECT_GT(swaps, 0) << "no same-size band change";
   }
 }
 
