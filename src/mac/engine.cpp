@@ -204,17 +204,19 @@ void ProtocolEngine::detach_user(common::UserId id, bool outage) {
   }
   ++(outage ? metrics_.outage_evictions : metrics_.handoffs_out);
   u.set_present(false);
-  roster_.erase(std::lower_bound(
+  roster_.erase(roster_position(id));
+}
+
+std::vector<BandMember>::iterator ProtocolEngine::roster_position(
+    common::UserId id) {
+  return std::lower_bound(
       roster_.begin(), roster_.end(), id,
-      [](const BandMember& m, common::UserId v) { return m.id < v; }));
+      [](const BandMember& m, common::UserId v) { return m.id < v; });
 }
 
 void ProtocolEngine::mark_present(MobileUser& u) {
   if (!u.present()) {
-    const auto pos = std::lower_bound(
-        roster_.begin(), roster_.end(), u.id(),
-        [](const BandMember& m, common::UserId v) { return m.id < v; });
-    roster_.insert(pos,
+    roster_.insert(roster_position(u.id()),
                    BandMember{u.id(), static_cast<std::uint32_t>(u.slot())});
   }
   u.set_present(true);

@@ -426,6 +426,8 @@ class ProtocolEngine {
   /// detach_user erases. band_admit keeps its capacity at least the
   /// band's, so neither ever allocates.
   std::vector<BandMember> roster_;
+  /// Where `id` sits, or would be inserted, in the roster.
+  std::vector<BandMember>::iterator roster_position(common::UserId id);
   /// Marks `u` present (the attach paths): enrolled in the roster, and its
   /// traffic tick due on the next frame.
   void mark_present(MobileUser& u);
