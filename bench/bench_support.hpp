@@ -60,6 +60,37 @@ inline double env_real(const char* name, double fallback) {
   return static_cast<double>(common::KeyValueConfig::parse_count(name, v));
 }
 
+/// Comma-list knob split into its non-empty entries (trailing and
+/// duplicate commas are tolerated); `fallback` when the variable is unset.
+inline std::vector<std::string> env_tokens(const char* name,
+                                           const std::string& fallback) {
+  const char* v = std::getenv(name);
+  std::stringstream stream(v != nullptr ? std::string(v) : fallback);
+  std::vector<std::string> tokens;
+  std::string token;
+  while (std::getline(stream, token, ',')) {
+    if (!token.empty()) tokens.push_back(token);
+  }
+  return tokens;
+}
+
+/// Comma list of counts: each entry goes through parse_count (k/M
+/// suffixes; anything malformed throws naming the knob), so a typo'd list
+/// (CELLS=7x) aborts instead of silently running a different sweep.
+inline std::vector<unsigned> env_list(const char* name,
+                                      const std::string& fallback) {
+  std::vector<unsigned> values;
+  for (const auto& token : env_tokens(name, fallback)) {
+    const long long n = common::KeyValueConfig::parse_count(name, token);
+    if (n < 0 || n > std::numeric_limits<unsigned>::max()) {
+      throw std::invalid_argument(std::string(name) +
+                                  ": list entry out of range: " + token);
+    }
+    values.push_back(static_cast<unsigned>(n));
+  }
+  return values;
+}
+
 /// Peak resident set of this process so far, in bytes (Linux reports
 /// ru_maxrss in kilobytes). Monotone — use current_rss_bytes for deltas.
 inline long long peak_rss_bytes() {

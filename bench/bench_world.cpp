@@ -56,30 +56,6 @@ namespace {
 
 using namespace charisma;
 
-std::vector<unsigned> parse_list(const char* name, const std::string& csv) {
-  std::vector<unsigned> values;
-  std::stringstream stream(csv);
-  std::string token;
-  while (std::getline(stream, token, ',')) {
-    if (token.empty()) continue;  // tolerate trailing/duplicate commas
-    // parse_count accepts k/M suffixes and throws on anything malformed,
-    // naming the knob — a typo'd list aborts instead of silently running
-    // a different sweep.
-    const long long n = common::KeyValueConfig::parse_count(name, token);
-    if (n < 0) {
-      throw std::invalid_argument(std::string(name) +
-                                  ": list entries must be >= 0: " + token);
-    }
-    values.push_back(static_cast<unsigned>(n));
-  }
-  return values;
-}
-
-std::string env_list(const char* name, const std::string& fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::string(v) : fallback;
-}
-
 mac::CellularConfig world_config(int cells, unsigned threads, int voice,
                                  int data) {
   mac::CellularConfig cfg;
@@ -184,15 +160,13 @@ int main() {
   const double warmup_s = std::min(0.5, measure_s * 0.25);
   const unsigned hardware =
       std::max(1u, std::thread::hardware_concurrency());
+  const char* protocol_name = std::getenv("CHARISMA_BENCH_WORLD_PROTOCOL");
   const auto protocol = protocols::parse_protocol(
-      env_list("CHARISMA_BENCH_WORLD_PROTOCOL", "dtdma_fr"));
+      protocol_name != nullptr ? protocol_name : "dtdma_fr");
 
-  auto cells_list = parse_list("CHARISMA_BENCH_WORLD_CELLS",
-                               env_list("CHARISMA_BENCH_WORLD_CELLS", "2,4,8"));
-  auto threads_list = parse_list(
-      "CHARISMA_BENCH_WORLD_THREADS",
-      env_list("CHARISMA_BENCH_WORLD_THREADS",
-               "1,2,4," + std::to_string(hardware)));
+  auto cells_list = bench::env_list("CHARISMA_BENCH_WORLD_CELLS", "2,4,8");
+  auto threads_list = bench::env_list("CHARISMA_BENCH_WORLD_THREADS",
+                                      "1,2,4," + std::to_string(hardware));
   // 0 means hardware concurrency everywhere else; resolve it here so the
   // sort below cannot place a "0" entry ahead of the serial reference.
   for (unsigned& t : threads_list) {
@@ -292,10 +266,8 @@ int main() {
   // replay) against the monolithic serial plane, which is the regression
   // the 1-CPU container can actually catch. Bit-identity across the shard
   // list is re-verified on every run and feeds the exit code.
-  auto shards_list = parse_list(
-      "CHARISMA_BENCH_WORLD_SHARDS",
-      env_list("CHARISMA_BENCH_WORLD_SHARDS",
-               "1,2,4," + std::to_string(hardware)));
+  auto shards_list = bench::env_list("CHARISMA_BENCH_WORLD_SHARDS",
+                                     "1,2,4," + std::to_string(hardware));
   for (unsigned& s : shards_list) {
     if (s == 0) s = hardware;  // 0 = auto resolves to hardware, like threads
   }

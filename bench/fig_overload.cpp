@@ -14,16 +14,18 @@
 // re-attach (accounting invariant: handoffs_in == handoffs_out +
 // outage_evictions) and the post-recovery world must keep serving traffic.
 //
+// Both parts append one trajectory point to BENCH_overload.json.
+//
 // Knobs (all optional):
 //   CHARISMA_BENCH_OVERLOAD_VOICE     nominal voice users (default 60)
 //   CHARISMA_BENCH_OVERLOAD_DATA     nominal data users (default 10)
 //   CHARISMA_BENCH_OVERLOAD_WARMUP   warmup seconds per point (default 2)
 //   CHARISMA_BENCH_OVERLOAD_MEASURE  measured seconds per point (default 4)
 //   CHARISMA_BENCH_OVERLOAD_FACTORS  comma list of load factors
-//                                    (default 1,2,5,10)
+//                                    (default 1,2,5,10; malformed entries
+//                                    abort naming the knob)
 //   CHARISMA_BENCH_OVERLOAD_PROTOCOLS comma list (default prma,rmav)
 //   CHARISMA_BENCH_JSON_DIR          where BENCH_overload.json lands
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -34,21 +36,6 @@
 namespace {
 
 using namespace charisma;
-
-std::vector<std::string> split_csv(const std::string& csv) {
-  std::vector<std::string> out;
-  std::stringstream stream(csv);
-  std::string token;
-  while (std::getline(stream, token, ',')) {
-    if (!token.empty()) out.push_back(token);
-  }
-  return out;
-}
-
-std::string env_str(const char* name, const std::string& fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::string(v) : fallback;
-}
 
 struct OverloadPoint {
   std::string protocol;
@@ -82,16 +69,12 @@ int main() {
       bench::env_real("CHARISMA_BENCH_OVERLOAD_WARMUP", 2.0);
   const double measure_s =
       bench::env_real("CHARISMA_BENCH_OVERLOAD_MEASURE", 4.0);
-  const auto factor_tokens =
-      split_csv(env_str("CHARISMA_BENCH_OVERLOAD_FACTORS", "1,2,5,10"));
-  const auto protocol_names =
-      split_csv(env_str("CHARISMA_BENCH_OVERLOAD_PROTOCOLS", "prma,rmav"));
-
-  std::vector<int> factors;
-  for (const auto& t : factor_tokens) factors.push_back(std::stoi(t));
+  const auto factors =
+      bench::env_list("CHARISMA_BENCH_OVERLOAD_FACTORS", "1,2,5,10");
   std::vector<protocols::ProtocolId> ids;
-  for (const auto& n : protocol_names) {
-    ids.push_back(protocols::parse_protocol(n));
+  for (const auto& name :
+       bench::env_tokens("CHARISMA_BENCH_OVERLOAD_PROTOCOLS", "prma,rmav")) {
+    ids.push_back(protocols::parse_protocol(name));
   }
 
   common::TextTable table("Voice loss and data delay vs offered load");
@@ -100,7 +83,7 @@ int main() {
 
   std::vector<OverloadPoint> points;
   for (auto id : ids) {
-    for (int factor : factors) {
+    for (const int factor : factors) {
       for (bool barring : {false, true}) {
         mac::ScenarioParams params;
         params.num_voice_users = voice * factor;
@@ -198,46 +181,38 @@ int main() {
               << (p.accounting_ok ? "ok" : "BROKEN") << '\n';
   }
 
-  const char* dir = std::getenv("CHARISMA_BENCH_JSON_DIR");
-  const std::string path =
-      (dir != nullptr ? std::string(dir) + "/" : std::string()) +
-      "BENCH_overload.json";
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "could not write " << path << '\n';
-    return degradation_ok && accounting_ok ? 0 : 1;
-  }
-  out << "{\n"
-      << "  \"benchmark\": \"overload_survival\",\n"
-      << "  \"schema_version\": 1,\n"
-      << "  \"nominal_voice_users\": " << voice << ",\n"
-      << "  \"nominal_data_users\": " << data << ",\n"
-      << "  \"measure_s\": " << measure_s << ",\n"
-      << "  \"barring_strictly_lowers_loss_at_5x_plus\": "
-      << (degradation_ok ? "true" : "false") << ",\n"
-      << "  \"outage_accounting_ok\": " << (accounting_ok ? "true" : "false")
-      << ",\n"
-      << "  \"overload_points\": [\n";
+  std::ostringstream fields;
+  fields << "\"nominal_voice_users\": " << voice
+         << ",\n      \"nominal_data_users\": " << data
+         << ",\n      \"measure_s\": " << measure_s
+         << ",\n      \"barring_strictly_lowers_loss_at_5x_plus\": "
+         << (degradation_ok ? "true" : "false")
+         << ",\n      \"outage_accounting_ok\": "
+         << (accounting_ok ? "true" : "false")
+         << ",\n      \"overload_points\": [\n";
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& p = points[i];
-    out << "    {\"protocol\": \"" << p.protocol << "\", \"load_factor\": "
-        << p.factor << ", \"barring\": " << (p.barring ? "true" : "false")
-        << ", \"voice_loss\": " << p.voice_loss << ", \"data_delay_s\": "
-        << p.data_delay_s << ", \"effective_barring\": "
-        << p.effective_barring << ", \"collision_ratio\": "
-        << p.collision_ratio << "}" << (i + 1 < points.size() ? "," : "")
-        << "\n";
+    fields << "        {\"protocol\": \"" << p.protocol
+           << "\", \"load_factor\": " << p.factor
+           << ", \"barring\": " << (p.barring ? "true" : "false")
+           << ", \"voice_loss\": " << p.voice_loss
+           << ", \"data_delay_s\": " << p.data_delay_s
+           << ", \"effective_barring\": " << p.effective_barring
+           << ", \"collision_ratio\": " << p.collision_ratio << "}"
+           << (i + 1 < points.size() ? ",\n" : "\n");
   }
-  out << "  ],\n  \"outage_points\": [\n";
+  fields << "      ],\n      \"outage_points\": [\n";
   for (std::size_t i = 0; i < outage_points.size(); ++i) {
     const auto& p = outage_points[i];
-    out << "    {\"scenario\": \"" << p.label << "\", \"voice_loss\": "
-        << p.voice_loss << ", \"outage_evictions\": " << p.evictions
-        << ", \"voice_dropped_outage\": " << p.voice_dropped_outage
-        << ", \"accounting_ok\": " << (p.accounting_ok ? "true" : "false")
-        << "}" << (i + 1 < outage_points.size() ? "," : "") << "\n";
+    fields << "        {\"scenario\": \"" << p.label
+           << "\", \"voice_loss\": " << p.voice_loss
+           << ", \"outage_evictions\": " << p.evictions
+           << ", \"voice_dropped_outage\": " << p.voice_dropped_outage
+           << ", \"accounting_ok\": " << (p.accounting_ok ? "true" : "false")
+           << "}" << (i + 1 < outage_points.size() ? ",\n" : "\n");
   }
-  out << "  ]\n}\n";
-  std::cout << "(wrote " << path << ")\n";
+  fields << "      ]";
+  bench::append_trajectory_point("overload_survival", "BENCH_overload",
+                                 fields.str());
   return degradation_ok && accounting_ok ? 0 : 1;
 }

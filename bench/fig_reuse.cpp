@@ -15,30 +15,10 @@
 //   CHARISMA_BENCH_REUSE_VOICE   voice users in the world (default 40)
 //   CHARISMA_BENCH_REUSE_ACTIVITY per-user activity factor (default 0.4)
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_support.hpp"
-
-namespace {
-
-std::vector<int> parse_list(const std::string& csv) {
-  std::vector<int> values;
-  std::stringstream stream(csv);
-  std::string token;
-  while (std::getline(stream, token, ',')) {
-    if (!token.empty()) values.push_back(std::stoi(token));
-  }
-  return values;
-}
-
-std::string env_or(const char* name, const std::string& fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::string(v) : fallback;
-}
-
-}  // namespace
 
 int main() {
   using namespace charisma;
@@ -48,10 +28,9 @@ int main() {
       "CHARISMA extension (no paper figure); inter-cell interference "
       "plane");
 
-  const auto cells_list =
-      parse_list(env_or("CHARISMA_BENCH_REUSE_CELLS", "7"));
+  const auto cells_list = bench::env_list("CHARISMA_BENCH_REUSE_CELLS", "7");
   const auto reuse_list =
-      parse_list(env_or("CHARISMA_BENCH_REUSE_FACTORS", "1,3,7"));
+      bench::env_list("CHARISMA_BENCH_REUSE_FACTORS", "1,3,7");
   const int voice_users =
       bench::env_count_int("CHARISMA_BENCH_REUSE_VOICE", 40);
   const double activity =

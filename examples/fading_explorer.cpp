@@ -2,7 +2,7 @@
 // an ASCII strip-chart of the combined SNR, the ABICM mode occupancy, and
 // the outage statistics that drive every protocol result in the paper.
 //
-//   ./fading_explorer [kmh=50] [seconds=2] [mean_snr_db=16]
+//   ./fading_explorer [kmh=50] [seconds=2] [mean_snr_db=16] [seed=7]
 #include <algorithm>
 #include <cmath>
 #include <iostream>
@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
   try {
     config = common::KeyValueConfig::from_args(
         std::vector<std::string>(argv + 1, argv + argc));
+    config.reject_unknown({"kmh", "seconds", "mean_snr_db", "seed"});
   } catch (const std::exception& e) {
     std::cerr << e.what() << "\nusage: fading_explorer [key=value ...]\n";
     return 1;

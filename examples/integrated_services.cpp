@@ -4,7 +4,8 @@
 // load grows, and what the channel-capacity-fair extension (Sec. 6 / [22])
 // changes for cell-edge users.
 //
-//   ./integrated_services [voice_users=90] [queue=1] [fairness=0]
+//   ./integrated_services [voice_users=90] [queue=1] [fairness=0] [seed=1]
+//                         [warmup=4] [measure=10]
 #include <algorithm>
 #include <iostream>
 #include <string>
@@ -19,6 +20,8 @@ int main(int argc, char** argv) {
   try {
     config = common::KeyValueConfig::from_args(
         std::vector<std::string>(argv + 1, argv + argc));
+    config.reject_unknown({"voice_users", "queue", "fairness", "seed", "warmup",
+                           "measure"});
   } catch (const std::exception& e) {
     std::cerr << e.what() << "\nusage: integrated_services [key=value ...]\n";
     return 1;

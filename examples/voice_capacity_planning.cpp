@@ -4,7 +4,8 @@
 // the paper's Fig. 11 read-offs.
 //
 //   ./voice_capacity_planning [protocol=charisma] [threshold=0.01]
-//                             [data_users=0] [queue=1] [measure=10]
+//                             [data_users=0] [queue=1] [warmup=4]
+//                             [measure=10] [replications=2]
 #include <iostream>
 #include <string>
 #include <vector>
@@ -18,6 +19,8 @@ int main(int argc, char** argv) {
   try {
     config = common::KeyValueConfig::from_args(
         std::vector<std::string>(argv + 1, argv + argc));
+    config.reject_unknown({"protocol", "threshold", "data_users", "queue",
+                           "warmup", "measure", "replications"});
   } catch (const std::exception& e) {
     std::cerr << e.what() << "\nusage: voice_capacity_planning [key=value ...]\n";
     return 1;

@@ -8,7 +8,8 @@
 //       charisma::protocols::ProtocolId::kCharisma, params);
 //   const auto& metrics = engine->run(/*warmup=*/3.0, /*measure=*/15.0);
 //
-// See examples/quickstart.cpp for a tour.
+// See examples/integrated_services.cpp for a walkthrough on one engine and
+// tools/charisma_sim.cpp for the full front end.
 #pragma once
 
 #include "analysis/fading_statistics.hpp"

@@ -38,8 +38,6 @@ class RmavProtocol : public mac::ProtocolEngine {
 
   std::string name() const override { return "RMAV"; }
 
-  std::size_t grants_outstanding() const { return grants_.size(); }
-
  protected:
   common::Time process_frame() override;
   void on_user_detached(common::UserId id) override;
