@@ -6,7 +6,7 @@
 
 #include "bench_support.hpp"
 
-int main() {
+static int bench_main() {
   using namespace charisma;
   bench::print_banner("Ablation: CSI refresh poll budget N_b",
                       "Kwok & Lau, Sec. 4.4 (polling mechanism)");
@@ -52,3 +52,5 @@ int main() {
       << "frame buys back most of the loss — the paper's N_b sizing.\n";
   return 0;
 }
+
+int main() { return charisma::bench::guarded_main(bench_main); }

@@ -6,7 +6,7 @@
 
 #include "bench_support.hpp"
 
-int main() {
+static int bench_main() {
   using namespace charisma;
   bench::print_banner("Ablation: CHARISMA priority metric (Eq. 2)",
                       "Kwok & Lau, Sec. 4.3 (design knobs)");
@@ -78,3 +78,5 @@ int main() {
       << "deadline packets; dropping V lets data displace voice.\n";
   return 0;
 }
+
+int main() { return charisma::bench::guarded_main(bench_main); }

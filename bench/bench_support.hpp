@@ -116,6 +116,20 @@ inline long long current_rss_bytes() {
   return 0;
 }
 
+/// Every bench's main: runs `body` and turns an exception escaping it —
+/// a malformed knob (CHARISMA_BENCH_REUSE_CELLS=7x), an unwritable file —
+/// into `error: <what>` on stderr and exit status 1, instead of the
+/// std::terminate abort an uncaught exception ends in.
+template <typename Body>
+int guarded_main(Body&& body) {
+  try {
+    return body();
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << '\n';
+    return 1;
+  }
+}
+
 inline experiment::RunSpec standard_spec(int default_reps = 2) {
   experiment::RunSpec spec;
   spec.warmup_s = env_real("CHARISMA_BENCH_WARMUP", 4.0);

@@ -9,7 +9,7 @@
 
 #include "bench_support.hpp"
 
-int main() {
+static int bench_main() {
   using namespace charisma;
   bench::print_banner("Energy efficiency (the paper's motivation 2)",
                       "Kwok & Lau, Sec. 1 observations 1-2");
@@ -51,3 +51,5 @@ int main() {
       << "slots that carry several packets each.\n";
   return 0;
 }
+
+int main() { return charisma::bench::guarded_main(bench_main); }

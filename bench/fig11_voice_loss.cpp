@@ -6,7 +6,7 @@
 
 #include "bench_support.hpp"
 
-int main() {
+static int bench_main() {
   using namespace charisma;
   bench::print_banner(
       "Fig. 11: voice packet loss rate versus traffic load",
@@ -63,3 +63,5 @@ int main() {
       << "  * Adding data users shifts every curve left (panels c-f).\n";
   return 0;
 }
+
+int main() { return charisma::bench::guarded_main(bench_main); }

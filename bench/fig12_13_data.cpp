@@ -10,7 +10,7 @@
 
 #include "bench_support.hpp"
 
-int main() {
+static int bench_main() {
   using namespace charisma;
 
   const auto runner = bench::standard_runner();
@@ -114,3 +114,5 @@ int main() {
       << "    users of D-TDMA/VR and ~3x RAMA/DRMA (paper Sec. 5.2).\n";
   return 0;
 }
+
+int main() { return charisma::bench::guarded_main(bench_main); }

@@ -9,7 +9,7 @@
 
 #include "bench_support.hpp"
 
-int main() {
+static int bench_main() {
   using namespace charisma;
   bench::print_banner("Fig. 5: sample of channel fading", "Kwok & Lau, Fig. 5");
 
@@ -21,7 +21,7 @@ int main() {
   shadow_cfg.shadow_tau = 1.0;
   shadow_cfg.sample_interval = 2e-3;
   channel::ChannelBank shadow(shadow_cfg);
-  shadow.acquire_user(common::RngStream(2026, 1));
+  shadow.acquire_user(common::RngStream(2026, 1).engine()());
 
   common::TextTable table("Combined fading c(t)^2 in dB, 2 ms samples "
                           "(every 25th sample shown)");
@@ -71,3 +71,5 @@ int main() {
                "structure Fig. 5 shows.\n";
   return 0;
 }
+
+int main() { return charisma::bench::guarded_main(bench_main); }

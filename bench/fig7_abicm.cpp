@@ -8,7 +8,7 @@
 
 #include "bench_support.hpp"
 
-int main() {
+static int bench_main() {
   using namespace charisma;
   bench::print_banner("Fig. 7: BER and throughput of the ABICM scheme",
                       "Kwok & Lau, Fig. 7a/7b");
@@ -51,7 +51,7 @@ int main() {
   // D-TDMA/FR" (paper Sec. 3.5).
   common::RngStream rng(7);
   channel::ChannelBank ch(channel::ChannelConfig{});
-  ch.acquire_user(common::RngStream(7));
+  ch.acquire_user(common::RngStream(7).engine()());
   common::Accumulator tput;
   for (int i = 1; i <= 200000; ++i) {
     ch.advance_all_to(static_cast<double>(i) * 2.5e-3);
@@ -67,3 +67,5 @@ int main() {
   op.print(std::cout);
   return 0;
 }
+
+int main() { return charisma::bench::guarded_main(bench_main); }

@@ -13,7 +13,7 @@
 
 #include "bench_support.hpp"
 
-int main() {
+static int bench_main() {
   using namespace charisma;
   bench::print_banner(
       "Handoff: voice packet loss versus user speed (multi-cell mobility)",
@@ -92,3 +92,5 @@ int main() {
       << "    adapts to the post-handoff channel within a validity period.\n";
   return 0;
 }
+
+int main() { return charisma::bench::guarded_main(bench_main); }

@@ -57,7 +57,7 @@ struct OutagePoint {
 
 }  // namespace
 
-int main() {
+static int bench_main() {
   bench::print_banner(
       "Overload survival: loss/delay vs offered load, barring off/on, "
       "plus cell-outage recovery",
@@ -216,3 +216,5 @@ int main() {
                                  fields.str());
   return degradation_ok && accounting_ok ? 0 : 1;
 }
+
+int main() { return charisma::bench::guarded_main(bench_main); }

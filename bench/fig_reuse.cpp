@@ -20,7 +20,7 @@
 
 #include "bench_support.hpp"
 
-int main() {
+static int bench_main() {
   using namespace charisma;
   bench::print_banner(
       "Frequency reuse: voice loss / data throughput vs reuse factor "
@@ -121,3 +121,5 @@ int main() {
       << "    SINR instead of shipping packets into it.\n";
   return 0;
 }
+
+int main() { return charisma::bench::guarded_main(bench_main); }

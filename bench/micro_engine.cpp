@@ -67,6 +67,23 @@ void BM_SplitMixZigguratPair(benchmark::State& state) {
 }
 BENCHMARK(BM_SplitMixZigguratPair);
 
+// A bank row's seed — the first output of the user's channel stream —
+// through a full mt19937_64 (seed all 312 words, twist, draw) and through
+// common::mt19937_64_first, which every band admit now pays instead.
+void BM_RowSeedEngine(benchmark::State& state) {
+  std::uint64_t seed = 1, acc = 0;
+  for (auto _ : state) acc += common::RngStream(++seed).engine()();
+  benchmark::DoNotOptimize(acc);
+}
+BENCHMARK(BM_RowSeedEngine);
+
+void BM_RowSeedFirstOutput(benchmark::State& state) {
+  std::uint64_t seed = 1, acc = 0;
+  for (auto _ : state) acc += common::mt19937_64_first(++seed);
+  benchmark::DoNotOptimize(acc);
+}
+BENCHMARK(BM_RowSeedFirstOutput);
+
 void BM_VoiceSourceIdleTick(benchmark::State& state) {
   // The engine's per-frame traffic tick over a voice population: a
   // talking source emits every 8th 2.5 ms frame and a silent one toggles
@@ -94,7 +111,8 @@ channel::ChannelBank make_bank(int n) {
   channel::ChannelBank bank(channel::ChannelConfig{});
   bank.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    bank.acquire_user(common::RngStream(static_cast<std::uint64_t>(i) + 1));
+    bank.acquire_user(
+        common::RngStream(static_cast<std::uint64_t>(i) + 1).engine()());
   }
   return bank;
 }
@@ -303,4 +321,12 @@ BENCHMARK(BM_ProtocolFrameSparseBand)->Arg(90)->Arg(1710);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return charisma::bench::guarded_main([&] {
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    return 0;
+  });
+}

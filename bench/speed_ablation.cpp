@@ -27,7 +27,8 @@ double benchmark_bank(int users, int frames, int stride) {
   channel::ChannelBank bank(cfg);
   bank.reserve(static_cast<std::size_t>(users));
   for (int i = 0; i < users; ++i) {
-    bank.acquire_user(common::RngStream(static_cast<std::uint64_t>(i) + 1));
+    bank.acquire_user(
+        common::RngStream(static_cast<std::uint64_t>(i) + 1).engine()());
   }
   double sink = 0.0;
   const auto start = std::chrono::steady_clock::now();
@@ -53,7 +54,8 @@ double benchmark_bank_lazy(int users, int frames, double touch_ratio) {
   channel::ChannelBank bank(cfg);
   bank.reserve(static_cast<std::size_t>(users));
   for (int i = 0; i < users; ++i) {
-    bank.acquire_user(common::RngStream(static_cast<std::uint64_t>(i) + 1));
+    bank.acquire_user(
+        common::RngStream(static_cast<std::uint64_t>(i) + 1).engine()());
   }
   bank.set_lazy(true);
   const int window = std::max(
@@ -136,7 +138,7 @@ void run_hot_path_ablation() {
 
 }  // namespace
 
-int main() {
+static int bench_main() {
   using namespace charisma;
   bench::print_banner("Sec. 5.3.3: mobile speed and CSI usage",
                       "Kwok & Lau, Sec. 5.3.3 (speed sensitivity)");
@@ -210,3 +212,5 @@ int main() {
             << "two loss columns) — the paper's Sec. 5.3.3 observation.\n";
   return 0;
 }
+
+int main() { return charisma::bench::guarded_main(bench_main); }

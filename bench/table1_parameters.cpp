@@ -5,7 +5,7 @@
 
 #include "bench_support.hpp"
 
-int main() {
+static int bench_main() {
   using namespace charisma;
   bench::print_banner("Table 1: simulation parameters",
                       "Kwok & Lau, Table 1 / Sections 2, 4, 5");
@@ -89,3 +89,5 @@ int main() {
   modes.print(std::cout);
   return 0;
 }
+
+int main() { return charisma::bench::guarded_main(bench_main); }

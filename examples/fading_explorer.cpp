@@ -38,8 +38,8 @@ int main(int argc, char** argv) {
             << common::TextTable::num(1000.0 / cfg.doppler_hz, 1) << " ms\n\n";
 
   channel::ChannelBank ch(cfg);  // one device: row 0
-  ch.acquire_user(common::RngStream(
-      static_cast<std::uint64_t>(config.get_int_or("seed", 7))));
+  const auto seed = static_cast<std::uint64_t>(config.get_int_or("seed", 7));
+  ch.acquire_user(common::RngStream(seed).engine()());
   const auto phy = phy::AdaptivePhy::abicm6();
 
   // Strip chart: one row per 25 ms, column = SNR in dB (offset by 5).

@@ -47,6 +47,7 @@ ChannelBank::ChannelBank(const ChannelConfig& config)
     : config_(validated(config)),
       branches_(static_cast<std::size_t>(config.diversity_branches)),
       inv_branches_(1.0 / static_cast<double>(config.diversity_branches)),
+      seed_mean_linear_(common::from_db(config.mean_snr_db)),
       fade_rho_(ar_rho_for(config.doppler_hz, config.sample_interval)),
       shadow_rho_(std::exp(-config.sample_interval / config.shadow_tau)) {}
 
@@ -65,7 +66,7 @@ void ChannelBank::reserve(std::size_t users) {
   vacant_.reserve(users);
 }
 
-std::size_t ChannelBank::acquire_user(common::RngStream rng) {
+std::size_t ChannelBank::acquire_user(std::uint64_t seed) {
   std::size_t user;
   if (free_slots_.empty()) {
     // Append an empty row; seed_row below fills it exactly as it re-seeds
@@ -89,12 +90,12 @@ std::size_t ChannelBank::acquire_user(common::RngStream rng) {
     vacant_[user] = 0;
     --vacant_count_;
   }
-  seed_row(user, rng);
+  seed_row(user, seed);
   return user;
 }
 
-void ChannelBank::seed_row(std::size_t user, common::RngStream& rng) {
-  mean_snr_linear_[user] = common::from_db(config_.mean_snr_db);
+void ChannelBank::seed_row(std::size_t user, std::uint64_t seed) {
+  mean_snr_linear_[user] = seed_mean_linear_;
   mean_snr_db_[user] = config_.mean_snr_db;
   interference_db_[user] = 0.0;
   interference_linear_[user] = 1.0;
@@ -104,8 +105,7 @@ void ChannelBank::seed_row(std::size_t user, common::RngStream& rng) {
   // historical sequences are unchanged.
   step_[user] = target_step_;
 
-  // The user's RngStream seeds its compact per-user innovation engine.
-  common::SplitMix64 fast(rng.engine()());
+  common::SplitMix64 fast(seed);
   const auto& zig = common::detail::ziggurat_tables();
 
   // Stationary start: per branch an I then a Q component, then the
@@ -123,6 +123,10 @@ void ChannelBank::seed_row(std::size_t user, common::RngStream& rng) {
       power / static_cast<double>(config_.diversity_branches);
   const double shadow = config_.shadow_sigma_db * fast.normal(zig);
   shadow_db_[user] = shadow;
+  // Converted now, not marked stale: the stale path's exp(ln10/10 · dB)
+  // differs from from_db's pow in the last bit on about a quarter of
+  // inputs, and a row read before its first jump (an engine's first
+  // frame, a sub-step RMAV frame) must see the historical value.
   shadow_linear_[user] = common::from_db(shadow);
   rng_[user] = fast;
   active_dirty_ = true;

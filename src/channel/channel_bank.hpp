@@ -23,10 +23,11 @@
 //
 // A row is the simulator's only channel handle: an engine's user holds its
 // bank slot, and a standalone trace (one device, Figs. 5 and 7, the fading
-// explorer) is row 0 of a one-row bank. Each row keeps its own RngStream
-// (seeded from the scenario seed and user id), so a row's realization is
-// independent of population size: row u of a populated bank equals a
-// one-row bank seeded from the same stream, bit for bit. A population with
+// explorer) is row 0 of a one-row bank. Each row keeps its own innovation
+// engine, seeded from the first draw of the user's stream (scenario seed
+// and user id), so a row's realization is independent of population size:
+// row u of a populated bank equals a one-row bank given the same seed, bit
+// for bit. A population with
 // differing radio environments uses one bank per environment, as a world
 // keeps one bank per cell.
 //
@@ -88,14 +89,22 @@ class ChannelBank {
 
   /// Starts a user in the stationary channel state at the configured mean
   /// SNR, no interference, at the bank clock's current step, and returns
-  /// its slot: the most recently released row (LIFO over the free-list, so
-  /// serial and parallel worlds that release in the same coordinator order
-  /// reuse the same slots), else a new row appended at size(). The stream
-  /// seeds this user's private innovation generator, so what a row
-  /// materializes depends only on the stream it was given and on when it
-  /// was acquired — never on the population around it or on which slot
-  /// the free-list happened to hand back.
-  std::size_t acquire_user(common::RngStream rng);
+  /// its slot: next_slot(). `seed` seeds this user's private innovation
+  /// generator — by convention the first draw of the user's per-row
+  /// stream, `RngStream(s).engine()()` (common::mt19937_64_first(s)
+  /// computes it without building the engine) — so what a row
+  /// materializes depends only on that seed and on when it was acquired,
+  /// never on the population around it or on which slot the free-list
+  /// happened to hand back. Allocates nothing while size() < the reserved
+  /// row count.
+  std::size_t acquire_user(std::uint64_t seed);
+
+  /// The slot the next acquire_user returns: the most recently released
+  /// row (LIFO over the free-list, so serial and parallel worlds that
+  /// release in the same order reuse the same slots), else size().
+  std::size_t next_slot() const {
+    return free_slots_.empty() ? step_.size() : free_slots_.back();
+  }
 
   /// Returns `slot` to the free-list. The row's state stays in place but
   /// is excluded from every whole-bank operation (materialize_all,
@@ -255,9 +264,10 @@ class ChannelBank {
   void jump_user(std::size_t user, const JumpCoeffs& c);
 
   /// Writes row `user`'s configured mean, zero interference, the bank
-  /// clock's step and a stationary I/Q + shadowing start drawn from `rng`
-  /// (acquire_user's seeding of a new or recycled row).
-  void seed_row(std::size_t user, common::RngStream& rng);
+  /// clock's step and a stationary I/Q + shadowing start drawn from a
+  /// SplitMix64 seeded with `seed` (acquire_user's seeding of a new or
+  /// recycled row).
+  void seed_row(std::size_t user, std::uint64_t seed);
 
   /// Materializes one user up to the bank clock (lazy read path).
   void materialize_user(std::size_t user);
@@ -308,6 +318,7 @@ class ChannelBank {
   ChannelConfig config_;
   std::size_t branches_;        // config_.diversity_branches
   double inv_branches_;         // 1 / branches_
+  double seed_mean_linear_;     // from_db(config_.mean_snr_db), every seed
   double fade_rho_;             // per-step AR(1) fading correlation
   double shadow_rho_;           // per-step shadowing correlation
   std::vector<std::pair<std::int64_t, JumpCoeffs>> strides_;

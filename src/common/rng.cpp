@@ -15,6 +15,14 @@ struct Mt19937Source {
   std::uint64_t next() { return engine(); }
 };
 
+// Replays a fixed run of raw draws (RngStream::first_normal's two engine
+// outputs) through the same concept. The templates take their source by
+// value, so the cursor is held by reference, like the engine above.
+struct DrawListSource {
+  const std::uint64_t*& cursor;
+  std::uint64_t next() { return *cursor++; }
+};
+
 // Adapts CompactRngStream's splitmix64 counter to the same concept. The
 // stream object itself already satisfies it, but taking the raw state by
 // reference keeps the adapter symmetric with Mt19937Source and avoids
@@ -32,6 +40,42 @@ struct SplitMixCounterSource {
 // the historical RngStream sequences bit for bit (Mt19937Source::next()
 // is exactly what the member functions used to call), and the compact
 // instantiation inherits every numerical property for free.
+
+// The first N (<= 156) outputs of std::mt19937_64(seed), per the
+// standard's definition of the engine ([rand.eng.mt]: w 64, n 312, m 156,
+// r 31, a 0xB5026F5AA96619E9, u 29, d 0x5555555555555555, s 17,
+// b 0x71D67FFFEDA60000, t 37, c 0xFFF7EEE000000000, l 43, f
+// 6364136223846793005). The first twist rewrites word k from x[k],
+// x[k+1] and x[k+156], all still seed-recurrence values for k < 156, so
+// the recurrence need only run to x[155 + N].
+template <std::size_t N>
+std::array<std::uint64_t, N> mt19937_64_head(std::uint64_t seed) {
+  static_assert(N >= 1 && N <= 156);
+  constexpr std::size_t kShift = 156;
+  constexpr std::uint64_t kLowerMask = (std::uint64_t{1} << 31) - 1;
+  constexpr std::uint64_t kUpperMask = ~kLowerMask;
+  std::uint64_t low[N + 1];  // x[0 .. N]
+  std::uint64_t high[N];     // x[156 .. 155 + N]
+  std::uint64_t x = seed;
+  low[0] = x;
+  for (std::uint64_t i = 1; i < kShift + N; ++i) {
+    x = 6364136223846793005ULL * (x ^ (x >> 62)) + i;
+    if (i <= N) low[i] = x;
+    if (i >= kShift) high[i - kShift] = x;
+  }
+  std::array<std::uint64_t, N> out;
+  for (std::size_t k = 0; k < N; ++k) {
+    const std::uint64_t y = (low[k] & kUpperMask) | (low[k + 1] & kLowerMask);
+    std::uint64_t z =
+        high[k] ^ (y >> 1) ^ ((y & 1) != 0 ? 0xB5026F5AA96619E9ULL : 0);
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+    z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+    z ^= z >> 43;
+    out[k] = z;
+  }
+  return out;
+}
 
 template <typename Source>
 double uniform_from(Source src) {
@@ -137,7 +181,23 @@ std::uint64_t derive_seed(std::uint64_t root, std::uint64_t stream) {
   return z ^ (z >> 31);
 }
 
+std::uint64_t mt19937_64_first(std::uint64_t seed) {
+  return mt19937_64_head<1>(seed)[0];
+}
+
+std::array<std::uint64_t, 2> mt19937_64_first_two(std::uint64_t seed) {
+  return mt19937_64_head<2>(seed);
+}
+
 // ---- RngStream (mt19937_64-backed) ----
+
+double RngStream::first_normal(std::uint64_t seed) {
+  const auto draws = mt19937_64_first_two(seed);
+  const std::uint64_t* cursor = draws.data();
+  double spare = 0.0;
+  bool has_spare = false;
+  return normal_from(DrawListSource{cursor}, spare, has_spare);
+}
 
 double RngStream::uniform() { return uniform_from(Mt19937Source{engine_}); }
 

@@ -16,6 +16,7 @@
 // raw bit source.
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -28,6 +29,18 @@ namespace charisma::common {
 /// Derives well-separated 64-bit seeds from (root, stream-id) pairs using
 /// the splitmix64 finalizer. Stateless; safe to call from any thread.
 std::uint64_t derive_seed(std::uint64_t root, std::uint64_t stream);
+
+/// The first output of std::mt19937_64(seed), i.e. exactly
+/// `std::mt19937_64(seed)()`, without building the 312-word engine. The
+/// standard fixes the engine's sequence, so this is exact for every seed:
+/// the seeding recurrence runs only as far as x[156], and the twist
+/// computes word 0 alone (from x[0], x[1] and x[156]) before tempering —
+/// about an eighth of the engine's seed-and-twist work. For call sites
+/// that seed something from a stream's first draw (bank rows).
+std::uint64_t mt19937_64_first(std::uint64_t seed);
+
+/// The first two outputs of std::mt19937_64(seed) (recurrence to x[157]).
+std::array<std::uint64_t, 2> mt19937_64_first_two(std::uint64_t seed);
 
 namespace detail {
 
@@ -176,6 +189,10 @@ class RngStream {
   explicit RngStream(std::uint64_t seed) : engine_(seed) {}
   RngStream(std::uint64_t root, std::uint64_t stream)
       : engine_(derive_seed(root, stream)) {}
+
+  /// What RngStream(seed).normal() returns first, from the engine's first
+  /// two outputs (mt19937_64_first_two) — no engine is built.
+  static double first_normal(std::uint64_t seed);
 
   /// Uniform in [0, 1).
   double uniform();

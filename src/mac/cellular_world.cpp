@@ -1,6 +1,7 @@
 #include "mac/cellular_world.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <chrono>
 #include <cmath>
@@ -24,6 +25,9 @@ constexpr double kLn10 = 2.302585092994046;
 /// Pilot level of a dark cell: far below any real link budget, so neither
 /// the hysteresis rule nor the initial argmax ever selects it.
 constexpr double kDarkPilotDb = -1.0e9;
+/// A band entry's slot between the merge that admits it and its cell's
+/// replay of the admit, which writes the real one.
+constexpr std::uint32_t kUnplacedSlot = 0xFFFF'FFFFu;
 
 /// Scoped accumulator for the epoch-loop wall-clock split.
 class PhaseTimer {
@@ -77,7 +81,7 @@ CellularWorld::CellularWorld(const CellularConfig& config,
           config_.shadow_decorrelation_m / config_.mobility.speed_mps;
     }
     // Engines start empty; the world admits each cell's pilot band below
-    // (update_bands), so per-cell state scales with band occupancy.
+    // (admit_initial_bands), so per-cell state scales with band occupancy.
     cell_params.defer_population = true;
     auto engine = factory(cell_params);
     if (!engine) {
@@ -124,6 +128,7 @@ CellularWorld::CellularWorld(const CellularConfig& config,
   for (LinkChunk& chunk : link_chunks_) {
     chunk.sites.resize(static_cast<std::size_t>(config_.num_cells));
   }
+  band_ops_.assign(static_cast<std::size_t>(config_.num_cells), {});
   plane_rows_.assign(static_cast<std::size_t>(config_.num_cells), {});
   attach_counts_.assign(static_cast<std::size_t>(config_.num_cells), 0);
   cell_load_.assign(static_cast<std::size_t>(config_.num_cells), 0.0);
@@ -140,7 +145,7 @@ CellularWorld::CellularWorld(const CellularConfig& config,
   // alone decides membership), then take the first pilot snapshot — it
   // sees zero loads (nobody is attached yet); initialize_attachments then
   // seeds the loads the first epoch uses.
-  update_bands(/*include_attached=*/false);
+  admit_initial_bands();
   resize_plane_rows();
   update_link_plane();
   update_snr_planes();
@@ -232,13 +237,12 @@ void CellularWorld::propose_bands(bool include_attached) {
   });
 }
 
-void CellularWorld::apply_band_proposals() {
-  // Coordinator merge, ascending user id throughout: every engine sees
-  // admits and releases in the same deterministic sequence regardless of
-  // shard or thread count, so the banks' free lists — and with them every
-  // later draw — are bit-identical between serial and parallel runs.
-  // Shards cover ascending contiguous ranges and list their changed users
-  // ascending, so arena order is user order.
+void CellularWorld::merge_band_proposals() {
+  // Coordinator merge, ascending user id throughout: every cell's op list
+  // comes out in the same deterministic sequence regardless of shard or
+  // thread count. Shards cover ascending contiguous ranges and list their
+  // changed users ascending, so arena order is user order.
+  for (auto& ops : band_ops_) ops.clear();
   const std::size_t shards =
       std::min<std::size_t>(num_shards_, attached_.size());
   for (std::size_t s = 0; s < shards; ++s) {
@@ -260,29 +264,54 @@ void CellularWorld::update_user_band(int u, std::span<const int> cells) {
   const auto uid = static_cast<common::UserId>(u);
   for (const int c : cells) {
     while (i < band.size() && band[i].cell < c) {
-      cells_[static_cast<std::size_t>(band[i].cell)]->band_release(uid);
+      band_ops_[static_cast<std::size_t>(band[i].cell)].push_back(
+          BandOp{uid, nullptr});
       ++i;
     }
     if (i < band.size() && band[i].cell == c) {
       band_scratch_.push_back(band[i]);  // staying: keep the filter state
       ++i;
     } else {
-      MobileUser& mu =
-          cells_[static_cast<std::size_t>(c)]->band_admit(uid, false);
-      band_scratch_.push_back(BandPilot{
-          c, static_cast<std::uint32_t>(mu.slot()), 0.0, true});
+      band_scratch_.push_back(BandPilot{c, kUnplacedSlot, 0.0, true});
     }
   }
   while (i < band.size()) {
-    cells_[static_cast<std::size_t>(band[i].cell)]->band_release(uid);
+    band_ops_[static_cast<std::size_t>(band[i].cell)].push_back(
+        BandOp{uid, nullptr});
     ++i;
   }
   band.swap(band_scratch_);
+  // The entrants' admits, pointing at their entries' slots: band_[u] is
+  // not touched again before the ops are replayed.
+  for (BandPilot& e : band) {
+    if (e.slot == kUnplacedSlot) {
+      band_ops_[static_cast<std::size_t>(e.cell)].push_back(
+          BandOp{uid, &e.slot});
+    }
+  }
 }
 
-void CellularWorld::update_bands(bool include_attached) {
-  propose_bands(include_attached);
-  apply_band_proposals();
+void CellularWorld::replay_band_ops() {
+  for (std::size_t c = 0; c < cells_.size(); ++c) {
+    cells_[c]->apply_band_ops(band_ops_[c]);
+  }
+}
+
+void CellularWorld::admit_initial_bands() {
+  propose_bands(/*include_attached=*/false);
+  merge_band_proposals();
+  // Every op is an admit, so each cell's final row count is its list's
+  // length; capacities are rounded up to what one-by-one growth would have
+  // left, so later churn grows the storage exactly as before.
+  for (std::size_t c = 0; c < cells_.size(); ++c) {
+    cells_[c]->reserve_band(std::bit_ceil(band_ops_[c].size()));
+  }
+  pool_->for_each(cells_.size(), [this](std::size_t c) {
+    cells_[c]->apply_band_ops(band_ops_[c]);
+  });
+  // The construction lists hold one op per band row; epoch churn needs a
+  // handful, so their storage goes back now.
+  for (auto& ops : band_ops_) std::vector<BandOp>().swap(ops);
 }
 
 void CellularWorld::resize_plane_rows() {
@@ -631,7 +660,8 @@ void CellularWorld::run_window(common::Time duration) {
     }
     {
       PhaseTimer timer(timings_.serial_plane_s);
-      apply_band_proposals();
+      merge_band_proposals();
+      replay_band_ops();
       // The plane rows grow to any new bank rows before the parallel
       // tasks use them.
       resize_plane_rows();

@@ -19,7 +19,8 @@
 //      the new positions — engines admit entering users
 //      (ProtocolEngine::band_admit: a fresh ChannelBank row, or a
 //      recycled one re-seeded from the per-(user, cell) visit counter)
-//      and release leavers (band_release),
+//      and release leavers (band_release), replaying per-cell op lists
+//      the coordinator merged in ascending user id,
 //   2. computes, per user, each band-resident (user, cell) link's mean SNR
 //      from distance-based path loss and its co-channel interference
 //      penalty (from the *previous* epoch's attached-user loads) — one
@@ -50,10 +51,12 @@
 // step 2 are computed over user chunks on the same pool, each user's
 // values depending only on its own position and the frozen load vector.
 // The cross-cell steps that mutate engines (band admission, handoff, load
-// aggregation) stay on the coordinating thread between the pool's
-// barriers, which keeps the world's results bit-identical to a serial run
-// at any thread count — interference included
-// (tests/mac/world_determinism_test.cpp).
+// aggregation) are ordered on the coordinating thread between the pool's
+// barriers: handoffs and epoch band churn run there, and world
+// construction replays its per-cell band-op lists (each in ascending user
+// id) one pool task per cell. That keeps the world's results
+// bit-identical to a serial run at any thread count — interference
+// included (tests/mac/world_determinism_test.cpp).
 //
 // Handoffs, voice packets dropped in transit, and per-cell load all land in
 // ProtocolMetrics, so the existing reporting stack works unchanged.
@@ -356,16 +359,24 @@ class CellularWorld {
   /// from band_[u]. Pure computation — no engine is touched.
   void propose_bands(bool include_attached);
   /// Coordinator merge of the band proposals in ascending user-id order:
-  /// admits entrants into / releases leavers from the cell engines and
-  /// rebuilds band_[u] — O(users whose band changed). The deterministic
-  /// admit/release order is what keeps the banks' free lists, and
-  /// therefore the whole world, bit-identical at any shard/thread count.
-  void apply_band_proposals();
+  /// rebuilds band_[u] and appends each entrant's admit and each leaver's
+  /// release to its cell's op list (band_ops_) — O(users whose band
+  /// changed). An admitted entry's slot stays kUnplacedSlot until its
+  /// cell replays the op. Each list is ascending in user id, the order
+  /// the serial merge used to admit and release in, so replaying the
+  /// lists keeps the banks' free lists, and therefore the whole world,
+  /// bit-identical at any shard/thread count.
+  void merge_band_proposals();
   /// The two-pointer diff of one user's old band against its proposed
-  /// cell set (both ascending), issuing band_release/band_admit.
+  /// cell set (both ascending), emitting its band ops.
   void update_user_band(int u, std::span<const int> cells);
-  /// propose + apply (construction; epochs call the phases directly).
-  void update_bands(bool include_attached);
+  /// Replays every cell's op list inline on the coordinator (epoch churn:
+  /// a handful of ops, not worth a pool round).
+  void replay_band_ops();
+  /// World construction's bands: propose and merge from geometry alone,
+  /// reserve every cell's band storage to its final size, then replay the
+  /// op lists one pool task per cell — the task allocates nothing.
+  void admit_initial_bands();
   /// Grows each cell's plane scratch rows to the bank's current row count
   /// (vacant rows are never read; they only keep the spans full-size).
   void resize_plane_rows();
@@ -451,6 +462,9 @@ class CellularWorld {
   std::vector<int> attach_counts_;
   /// Coordinator scratch: band-diff merge target.
   std::vector<BandPilot> band_scratch_;
+  /// Per-cell band ops of the current merge, ascending by user id;
+  /// admits point at their band_ entry's slot.
+  std::vector<std::vector<BandOp>> band_ops_;
   /// Per-shard proposal arenas (size num_shards_; arena s is written only
   /// by shard s's task and read only by the coordinator between barriers).
   std::vector<ShardArena> shard_arenas_;

@@ -62,11 +62,7 @@ ProtocolEngine::ProtocolEngine(const ScenarioParams& params)
     // defer_population leaves the engine empty; the world admits each
     // cell's pilot band instead, so memory scales with band occupancy
     // rather than with the population.
-    const auto total = static_cast<std::size_t>(params.total_users());
-    bank_.reserve(total);
-    users_.reserve(total);
-    band_.reserve(total);
-    roster_.reserve(total);
+    reserve_band(static_cast<std::size_t>(params.total_users()));
     for (int i = 0; i < params.total_users(); ++i) {
       band_admit(static_cast<common::UserId>(i), true);
     }
@@ -115,16 +111,17 @@ MobileUser& ProtocolEngine::band_admit(common::UserId id,
     const auto it = rebirths_.find(id);
     if (it != rebirths_.end()) visit = it->second;
   }
-  auto u = std::make_unique<MobileUser>(id, service, params_, bank_, visit);
   // The bank decides the slot (fresh row or a reused free-list one); the
-  // engine's storage mirrors the bank's rows one-for-one.
-  const std::size_t slot = u->slot();
+  // engine's storage mirrors the bank's rows one-for-one, so the shell is
+  // constructed in place at the slot its constructor acquires.
+  const std::size_t slot = bank_.next_slot();
   if (slot == users_.size()) {
-    users_.push_back(std::move(u));
+    users_.emplace_back(std::in_place, id, service, params_, bank_, visit);
     next_due_.push_back(kInf);
   } else {
-    users_[slot] = std::move(u);
+    users_[slot].emplace(id, service, params_, bank_, visit);
   }
+  assert(users_[slot]->slot() == slot);
   if (slot != static_cast<std::size_t>(id)) identity_ = false;
   band_.insert(pos, BandMember{id, static_cast<std::uint32_t>(slot)});
   // Room for every band member to attach: mark_present never allocates.
@@ -156,6 +153,25 @@ void ProtocolEngine::band_release(common::UserId id) {
   bank_.release_user(slot);
   band_.erase(it);
   identity_ = false;
+}
+
+void ProtocolEngine::reserve_band(std::size_t rows) {
+  bank_.reserve(rows);
+  users_.reserve(rows);
+  next_due_.reserve(rows);
+  band_.reserve(rows);
+  roster_.reserve(rows);
+}
+
+void ProtocolEngine::apply_band_ops(std::span<const BandOp> ops) {
+  for (const BandOp& op : ops) {
+    if (op.slot_out == nullptr) {
+      band_release(op.id);
+    } else {
+      *op.slot_out =
+          static_cast<std::uint32_t>(band_admit(op.id, false).slot());
+    }
+  }
 }
 
 void ProtocolEngine::touch_channels(std::span<const common::UserId> users) {

@@ -48,7 +48,20 @@ struct BandMember {
   std::uint32_t slot;
 };
 
-class MobileUser;
+/// One entry of a cell's band-op list (ProtocolEngine::apply_band_ops):
+/// admit `id` and write the slot it lands in through `slot_out`, or —
+/// with a null `slot_out` — release it.
+struct BandOp {
+  common::UserId id;
+  std::uint32_t* slot_out;
+};
+
+/// Slot-indexed user storage: the shell at a band member's slot, empty at
+/// vacant slots. Users live in one contiguous array, so a slot-keyed read
+/// is one indexed load, and an admit constructs its shell in place —
+/// allocating only when the array grows. Growth moves the users, so no
+/// MobileUser& may be held across an admit into the same engine.
+using UserSlab = std::vector<std::optional<MobileUser>>;
 
 /// Range view over an engine's attached users in ascending user-id order —
 /// the sparse-presence replacement for the historical
@@ -58,10 +71,10 @@ class UserBand {
  public:
   class iterator {
    public:
-    iterator(const BandMember* m, const std::unique_ptr<MobileUser>* slots)
+    iterator(const BandMember* m, std::optional<MobileUser>* slots)
         : m_(m), slots_(slots) {}
     MobileUser& operator*() const { return *slots_[m_->slot]; }
-    MobileUser* operator->() const { return slots_[m_->slot].get(); }
+    MobileUser* operator->() const { return &*slots_[m_->slot]; }
     iterator& operator++() {
       ++m_;
       return *this;
@@ -71,11 +84,10 @@ class UserBand {
 
    private:
     const BandMember* m_;
-    const std::unique_ptr<MobileUser>* slots_;
+    std::optional<MobileUser>* slots_;
   };
 
-  UserBand(const std::vector<BandMember>& members,
-           const std::vector<std::unique_ptr<MobileUser>>& slots)
+  UserBand(const std::vector<BandMember>& members, UserSlab& slots)
       : members_(&members), slots_(&slots) {}
   iterator begin() const { return {members_->data(), slots_->data()}; }
   iterator end() const {
@@ -86,7 +98,7 @@ class UserBand {
 
  private:
   const std::vector<BandMember>* members_;
-  const std::vector<std::unique_ptr<MobileUser>>* slots_;
+  UserSlab* slots_;
 };
 
 class ProtocolEngine {
@@ -144,6 +156,19 @@ class ProtocolEngine {
   /// row for reuse. The user must be detached first (throws logic_error
   /// otherwise); its next admit here draws a fresh rebirth seed.
   void band_release(common::UserId id);
+
+  /// Reserves band storage — bank rows, user slab, band, roster and
+  /// due-time table — for `rows` rows, so that admits up to that many
+  /// rows allocate nothing.
+  void reserve_band(std::size_t rows);
+
+  /// Replays one cell's band ops in order: band_admit(id, false) writing
+  /// the slot through slot_out, or band_release(id). A world builds the
+  /// lists in ascending user id, the order its serial merge admits and
+  /// releases in, so the free list — and every later draw — is the same
+  /// whether the cells replay one after another or concurrently. An
+  /// admit-only replay that reserve_band covers allocates nothing.
+  void apply_band_ops(std::span<const BandOp> ops);
 
   /// First-time attachment during world construction: makes the user
   /// present with live traffic, *without* counting a handoff — the initial
@@ -386,10 +411,10 @@ class ProtocolEngine {
   ScenarioParams params_;
   FrameGeometry geom_;
   channel::ChannelBank bank_;  // row u.slot() is user u's channel
-  // Slot-indexed storage mirroring the bank's rows one-for-one (null at
+  // Slot-indexed storage mirroring the bank's rows one-for-one (empty at
   // vacant slots), plus the ascending-id membership index over it. In the
   // dense population slot == id and band_ is the identity.
-  std::vector<std::unique_ptr<MobileUser>> users_;
+  UserSlab users_;
   std::vector<BandMember> band_;
   ProtocolMetrics metrics_;
   phy::FixedPhy fixed_phy_;

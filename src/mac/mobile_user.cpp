@@ -23,16 +23,21 @@ std::uint64_t visit_seed(std::uint64_t seed, std::uint32_t visit) {
 // (position in the cell). The offset is a static property of the user, so
 // it always derives from the *plain* scenario seed — a band re-entry must
 // not teleport the device — and from its own stream, so drawing it moves
-// no channel draw.
+// no channel draw. Both streams are read only at their head — the row's
+// seed is the channel stream's first output, the offset the link-budget
+// stream's first normal — so neither engine is built.
 std::size_t acquire_channel(common::UserId id, const ScenarioParams& params,
                             std::uint64_t seed, channel::ChannelBank& bank) {
-  const std::size_t slot = bank.acquire_user(common::RngStream(
-      seed, kChannelStream + static_cast<std::uint64_t>(id)));
+  const std::uint64_t channel_seed = common::derive_seed(
+      seed, kChannelStream + static_cast<std::uint64_t>(id));
+  const std::size_t slot =
+      bank.acquire_user(common::mt19937_64_first(channel_seed));
   if (params.snr_spread_db > 0.0) {
-    common::RngStream rng(params.seed,
-                          kLinkBudgetStream + static_cast<std::uint64_t>(id));
-    bank.set_mean_snr_db(
-        slot, bank.mean_snr_db(slot) + rng.normal(0.0, params.snr_spread_db));
+    const double z = common::RngStream::first_normal(common::derive_seed(
+        params.seed, kLinkBudgetStream + static_cast<std::uint64_t>(id)));
+    // RngStream::normal(0, sigma) is 0 + sigma * normal(), kept verbatim.
+    bank.set_mean_snr_db(slot, bank.mean_snr_db(slot) +
+                                   (0.0 + params.snr_spread_db * z));
   }
   return slot;
 }

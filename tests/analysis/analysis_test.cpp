@@ -124,7 +124,7 @@ TEST(FadingStatistics, SimulatorMatchesAnalyticOccupancy) {
   const auto analytic = mode_occupancy(cfg, table);
 
   channel::ChannelBank ch(cfg);  // one device: row 0
-  ch.acquire_user(common::RngStream(42));
+  ch.acquire_user(common::RngStream(42).engine()());
   std::vector<double> empirical(7, 0.0);
   const int steps = 400000;
   for (int i = 1; i <= steps; ++i) {
@@ -144,7 +144,7 @@ TEST(FadingStatistics, MeanThroughputMatchesSimulation) {
   const double analytic = mean_adaptive_throughput(cfg, table);
 
   channel::ChannelBank ch(cfg);  // one device: row 0
-  ch.acquire_user(common::RngStream(43));
+  ch.acquire_user(common::RngStream(43).engine()());
   double sum = 0.0;
   const int steps = 400000;
   for (int i = 1; i <= steps; ++i) {

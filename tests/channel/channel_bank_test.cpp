@@ -33,10 +33,10 @@ TEST(ChannelBank, RowMatchesOneRowBank) {
   ChannelBank bank(test_config());
   bank.reserve(3);
   for (std::uint64_t s = 1; s <= 3; ++s) {
-    bank.acquire_user(common::RngStream(s));
+    bank.acquire_user(common::RngStream(s).engine()());
   }
   ChannelBank solo(test_config());
-  solo.acquire_user(common::RngStream(2));
+  solo.acquire_user(common::RngStream(2).engine()());
   for (int i = 1; i <= 200; ++i) {
     const double t = static_cast<double>(i) * 2.5e-3;
     bank.advance_all_to(t);
@@ -56,7 +56,8 @@ TEST(ChannelBank, StationaryMomentsUnderStridedAdvance) {
   const double rho = ar_rho_for(cfg.doppler_hz, cfg.sample_interval);
   for (int stride : {1, 7, 64}) {
     ChannelBank bank(cfg);
-    bank.acquire_user(common::RngStream(100 + static_cast<std::uint64_t>(stride)));
+    bank.acquire_user(
+        common::RngStream(100 + static_cast<std::uint64_t>(stride)).engine()());
     double sum = 0.0, corr = 0.0;
     const int n = 60000;
     std::vector<double> re(4), im(4);
@@ -84,8 +85,9 @@ TEST(ChannelBank, GammaMarginalMomentsAndTailPerDiversityOrder) {
     auto cfg = test_config();
     cfg.diversity_branches = branches;
     ChannelBank bank(cfg);
-    bank.acquire_user(common::RngStream(
-                           200 + static_cast<std::uint64_t>(branches)));
+    bank.acquire_user(
+        common::RngStream(200 + static_cast<std::uint64_t>(branches))
+            .engine()());
     double sum = 0.0, sum2 = 0.0;
     int above = 0;
     const int n = 200000;
@@ -125,7 +127,8 @@ TEST(ChannelBank, ShadowingAutocorrelationIsExpOfLagOverTau) {
   cfg.sample_interval = 1e-3;
   for (int stride : {1, 10, 100}) {
     ChannelBank bank(cfg);
-    bank.acquire_user(common::RngStream(300 + static_cast<std::uint64_t>(stride)));
+    bank.acquire_user(
+        common::RngStream(300 + static_cast<std::uint64_t>(stride)).engine()());
     const int n = 200000;
     std::vector<double> values;
     values.reserve(n);
@@ -158,7 +161,7 @@ TEST(ChannelBank, ShadowingAutocorrelationIsExpOfLagOverTau) {
 
 TEST(ChannelBank, ShadowingStationarySigmaUnderStridedAdvance) {
   ChannelBank bank(test_config());
-  bank.acquire_user(common::RngStream(7));
+  bank.acquire_user(common::RngStream(7).engine()());
   double sum = 0.0, sum2 = 0.0;
   const int n = 40000;
   // 0.25 s strides: well past the 1 s shadowing tau would need many steps
@@ -180,7 +183,7 @@ TEST(ChannelBank, ZeroShadowSigmaStaysAtZeroDb) {
   auto cfg = test_config();
   cfg.shadow_sigma_db = 0.0;
   ChannelBank bank(cfg);
-  bank.acquire_user(common::RngStream(11));
+  bank.acquire_user(common::RngStream(11).engine()());
   EXPECT_EQ(bank.shadow_db(0), 0.0);
   double t = 0.0;
   for (int stride : {1, 7, 64}) {
@@ -198,8 +201,10 @@ TEST(ChannelBank, PerRowMeansKeepPerUserBudgets) {
   auto cfg = test_config();
   cfg.shadow_sigma_db = 0.0;  // isolate the link-budget ratio
   ChannelBank bank(cfg);
-  bank.set_mean_snr_db(bank.acquire_user(common::RngStream(1)), 10.0);
-  bank.set_mean_snr_db(bank.acquire_user(common::RngStream(2)), 20.0);
+  bank.set_mean_snr_db(bank.acquire_user(common::RngStream(1).engine()()),
+                       10.0);
+  bank.set_mean_snr_db(bank.acquire_user(common::RngStream(2).engine()()),
+                       20.0);
   bank.advance_all_to(1.0);
   EXPECT_DOUBLE_EQ(bank.mean_snr_db(0), 10.0);
   EXPECT_DOUBLE_EQ(bank.mean_snr_db(1), 20.0);
@@ -217,7 +222,7 @@ TEST(ChannelBank, PerRowMeansKeepPerUserBudgets) {
 
 TEST(ChannelBank, TimeMustNotGoBackwards) {
   ChannelBank bank(test_config());
-  bank.acquire_user(common::RngStream(3));
+  bank.acquire_user(common::RngStream(3).engine()());
   bank.advance_all_to(1.0);
   EXPECT_THROW(bank.advance_all_to(0.5), std::logic_error);
   EXPECT_THROW(bank.set_time(0.5), std::logic_error);
@@ -225,7 +230,7 @@ TEST(ChannelBank, TimeMustNotGoBackwards) {
 
 TEST(ChannelBank, RepeatAdvanceIsIdempotent) {
   ChannelBank bank(test_config());
-  bank.acquire_user(common::RngStream(4));
+  bank.acquire_user(common::RngStream(4).engine()());
   bank.advance_all_to(0.1);
   const double snr = bank.snr_linear(0);
   bank.advance_all_to(0.1);
@@ -239,8 +244,8 @@ TEST(ChannelBank, SetMeanSnrRescalesWithoutDisturbingState) {
   // is edited mid-run stays draw-for-draw identical to an untouched twin.
   ChannelBank moved(test_config()), still(test_config());
   for (std::uint64_t s = 1; s <= 4; ++s) {
-    moved.acquire_user(common::RngStream(s));
-    still.acquire_user(common::RngStream(s));
+    moved.acquire_user(common::RngStream(s).engine()());
+    still.acquire_user(common::RngStream(s).engine()());
   }
   for (int i = 1; i <= 100; ++i) {
     const double t = static_cast<double>(i) * 2.5e-3;
@@ -262,7 +267,7 @@ TEST(ChannelBank, SetMeanSnrRescalesWithoutDisturbingState) {
 
 TEST(ChannelBank, SetMeanSnrMovesTheMean) {
   ChannelBank bank(test_config(16.0));
-  bank.acquire_user(common::RngStream(1));
+  bank.acquire_user(common::RngStream(1).engine()());
   const double before = bank.snr_linear(0);
   bank.set_mean_snr_db(0, 26.0);
   EXPECT_DOUBLE_EQ(bank.mean_snr_db(0), 26.0);
@@ -275,7 +280,7 @@ TEST(ChannelBank, SnrDbAllMatchesScalarReads) {
   // domain (no exp/log10 round trip); values agree to rounding.
   ChannelBank bank(test_config());
   for (std::uint64_t s = 1; s <= 6; ++s) {
-    bank.set_mean_snr_db(bank.acquire_user(common::RngStream(s)),
+    bank.set_mean_snr_db(bank.acquire_user(common::RngStream(s).engine()()),
                          10.0 + static_cast<double>(s));
   }
   bank.advance_all_to(0.25);
@@ -291,8 +296,8 @@ TEST(ChannelBank, SnrDbAllMatchesScalarReads) {
 TEST(ChannelBank, SetMeanSnrDbAllMatchesScalarWrites) {
   ChannelBank bulk(test_config()), scalar(test_config());
   for (std::uint64_t s = 1; s <= 5; ++s) {
-    bulk.acquire_user(common::RngStream(s));
-    scalar.acquire_user(common::RngStream(s));
+    bulk.acquire_user(common::RngStream(s).engine()());
+    scalar.acquire_user(common::RngStream(s).engine()());
   }
   bulk.advance_all_to(0.1);
   scalar.advance_all_to(0.1);
@@ -327,8 +332,8 @@ TEST(ChannelBank, SetInterferenceLeavesStateAndDrawsUntouched) {
   // never saw interference.
   ChannelBank loaded(test_config()), clean(test_config());
   for (std::uint64_t s = 1; s <= 4; ++s) {
-    loaded.acquire_user(common::RngStream(s));
-    clean.acquire_user(common::RngStream(s));
+    loaded.acquire_user(common::RngStream(s).engine()());
+    clean.acquire_user(common::RngStream(s).engine()());
   }
   std::vector<double> penalty(loaded.size());
   for (int i = 1; i <= 100; ++i) {
@@ -363,7 +368,7 @@ TEST(ChannelBank, SetInterferenceLeavesStateAndDrawsUntouched) {
 TEST(ChannelBank, InterferenceLowersSnrByThePenalty) {
   ChannelBank bank(test_config());
   for (std::uint64_t s = 1; s <= 3; ++s) {
-    bank.acquire_user(common::RngStream(s));
+    bank.acquire_user(common::RngStream(s).engine()());
   }
   bank.advance_all_to(0.25);
   std::vector<double> baseline(bank.size());
@@ -423,8 +428,8 @@ TEST(ChannelBank, RangeWritesMatchAllWritesWithVacancies) {
   ChannelBank a(test_config()), b(test_config());
   constexpr std::size_t kUsers = 8;
   for (std::uint64_t s = 1; s <= kUsers; ++s) {
-    a.acquire_user(common::RngStream(s));
-    b.acquire_user(common::RngStream(s));
+    a.acquire_user(common::RngStream(s).engine()());
+    b.acquire_user(common::RngStream(s).engine()());
   }
   a.release_user(2);
   b.release_user(2);
@@ -470,7 +475,7 @@ TEST(ChannelBank, BulkFedLinearFactorsConvertOnReadBitForBit) {
     ChannelBank bank(test_config());
     constexpr std::size_t kUsers = 6;
     for (std::uint64_t s = 1; s <= kUsers; ++s) {
-      bank.acquire_user(common::RngStream(s));
+      bank.acquire_user(common::RngStream(s).engine()());
     }
     if (sparse) bank.release_user(3);
     int step = 0;
@@ -528,7 +533,7 @@ TEST(ChannelBank, SnrDbRangeMatchesSnrDbAllAndSkipsVacantRows) {
   ChannelBank bank(test_config());
   constexpr std::size_t kUsers = 6;
   for (std::uint64_t s = 1; s <= kUsers; ++s) {
-    bank.acquire_user(common::RngStream(s));
+    bank.acquire_user(common::RngStream(s).engine()());
   }
   bank.release_user(1);
   for (int i = 1; i <= 20; ++i) {
@@ -571,7 +576,7 @@ TEST(ChannelBank, AcquireReusesReleasedRowsLifo) {
   constexpr double kDt = 2.5e-3;
   ChannelBank bank(test_config());
   for (std::uint64_t s = 1; s <= 6; ++s) {
-    bank.acquire_user(common::RngStream(s));
+    bank.acquire_user(common::RngStream(s).engine()());
   }
   int frame = 0;
   for (; frame < 40; ++frame) {
@@ -590,12 +595,12 @@ TEST(ChannelBank, AcquireReusesReleasedRowsLifo) {
   const std::size_t expected_slots[] = {4, 1, 6};
   std::vector<ChannelBank> fresh;
   for (int i = 0; i < 3; ++i) {
-    ASSERT_EQ(bank.acquire_user(common::RngStream(seeds[i])),
+    ASSERT_EQ(bank.acquire_user(common::RngStream(seeds[i]).engine()()),
               expected_slots[i])
         << "acquire " << i;
     fresh.emplace_back(test_config());
     fresh.back().set_time(static_cast<double>(frame) * kDt);
-    fresh.back().acquire_user(common::RngStream(seeds[i]));
+    fresh.back().acquire_user(common::RngStream(seeds[i]).engine()());
   }
   for (int i = 0; i < 3; ++i) {
     SCOPED_TRACE("slot " + std::to_string(expected_slots[i]));
@@ -675,8 +680,8 @@ TEST(ChannelBankPinned, EagerAdvanceSequence) {
   auto one = test_config();
   one.diversity_branches = 1;
   ChannelBank banks[2] = {ChannelBank(one), ChannelBank(test_config())};
-  banks[0].acquire_user(common::RngStream(2024));
-  banks[1].acquire_user(common::RngStream(2025));
+  banks[0].acquire_user(common::RngStream(2024).engine()());
+  banks[1].acquire_user(common::RngStream(2025).engine()());
   int frame = 0;
   for (const auto& cp : expected) {
     while (frame < cp.frame) {
@@ -723,7 +728,7 @@ TEST(ChannelBankPinned, OneRowTraceSequence) {
        8071764055891154077ULL},
   };
   ChannelBank bank(ChannelConfig{});
-  ASSERT_EQ(bank.acquire_user(common::RngStream(7)), 0u);
+  ASSERT_EQ(bank.acquire_user(common::RngStream(7).engine()()), 0u);
   int frame = 0;
   for (const auto& cp : expected) {
     while (frame < cp.frame) {

@@ -38,7 +38,8 @@ ChannelBank make_bank(int users, std::uint64_t seed0) {
   ChannelBank bank(test_config());
   bank.reserve(static_cast<std::size_t>(users));
   for (int u = 0; u < users; ++u) {
-    bank.acquire_user(common::RngStream(seed0 + static_cast<std::uint64_t>(u)));
+    bank.acquire_user(
+        common::RngStream(seed0 + static_cast<std::uint64_t>(u)).engine()());
   }
   return bank;
 }

@@ -26,7 +26,7 @@ ChannelConfig test_config() {
 
 ChannelBank one_row(const ChannelConfig& cfg, std::uint64_t seed) {
   ChannelBank bank(cfg);
-  bank.acquire_user(common::RngStream(seed));
+  bank.acquire_user(common::RngStream(seed).engine()());
   return bank;
 }
 

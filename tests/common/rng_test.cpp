@@ -1,8 +1,12 @@
 #include "common/rng.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <random>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -232,6 +236,76 @@ TEST(RngStream, InterleavedEngineDrawsAndNormalsStayReproducible) {
   }
   // After 5 rounds all three cursors agree.
   EXPECT_EQ(a.engine()(), raw.engine()());
+}
+
+// ---- First outputs without the engine (bank-row seeding) ----
+// mt19937_64_first(s) must be std::mt19937_64(s)() for every seed: the
+// standard fixes the engine's sequence, so any disagreement — a twist mask
+// off by one bit, a recurrence that drops its "+ i" — is a bug, and over
+// 100k seeds it shows on most of them.
+
+/// The checked seeds: the edges, then a splitmix64 walk over the full
+/// 64-bit range interleaved with the small consecutive seeds tests use.
+std::vector<std::uint64_t> first_output_seeds() {
+  std::vector<std::uint64_t> seeds = {0,
+                                      1,
+                                      2,
+                                      5489,  // the engine's default seed
+                                      std::uint64_t{1} << 63,
+                                      (std::uint64_t{1} << 63) - 1,
+                                      ~std::uint64_t{0},
+                                      ~std::uint64_t{0} - 1};
+  std::uint64_t walk = 0x0123456789ABCDEFULL;
+  for (std::uint64_t i = 0; i < 50'000; ++i) {
+    seeds.push_back(i + 3);
+    walk += detail::kSplitMixGamma;
+    seeds.push_back(detail::splitmix64_mix(walk));
+  }
+  return seeds;
+}
+
+TEST(MtFirstOutput, EqualsEngineFirstDrawForEverySeed) {
+  const auto seeds = first_output_seeds();
+  ASSERT_GE(seeds.size(), 100'000u);
+  std::size_t mismatches = 0;
+  for (const std::uint64_t s : seeds) {
+    if (mt19937_64_first(s) != std::mt19937_64(s)()) {
+      if (++mismatches <= 5) ADD_FAILURE() << "seed " << s;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(MtFirstOutput, TwoOutputFormEqualsEngineFirstTwoDraws) {
+  const auto seeds = first_output_seeds();
+  std::size_t mismatches = 0;
+  for (const std::uint64_t s : seeds) {
+    std::mt19937_64 engine(s);
+    const std::uint64_t first = engine();
+    const std::uint64_t second = engine();
+    const auto head = mt19937_64_first_two(s);
+    if (head[0] != first || head[1] != second) {
+      if (++mismatches <= 5) ADD_FAILURE() << "seed " << s;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(MtFirstOutput, FirstNormalEqualsStreamFirstNormal) {
+  // The link-budget offset path: RngStream(s).normal() rebuilt from the
+  // two head outputs must agree bit for bit, u1 == 0 guard included.
+  const auto seeds = first_output_seeds();
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < seeds.size(); i += 7) {
+    const std::uint64_t s = seeds[i];
+    const double expected = RngStream(s).normal();
+    const double got = RngStream::first_normal(s);
+    if (std::bit_cast<std::uint64_t>(expected) !=
+        std::bit_cast<std::uint64_t>(got)) {
+      if (++mismatches <= 5) ADD_FAILURE() << "seed " << s;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 // ---- CompactRngStream ----

@@ -11,9 +11,12 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <functional>
+#include <memory>
 #include <new>
 #include <vector>
 
+#include "experiment/worker_pool.hpp"
 #include "mac/cellular_world.hpp"
 #include "mac/presence.hpp"
 #include "mac/scenario.hpp"
@@ -301,6 +304,61 @@ TEST(FrameAlloc, InterferenceWorldEpochsAreAllocationFree) {
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
   // The plane carried load: some link saw a non-zero penalty.
   EXPECT_GT(world.aggregate_metrics().interference_db.mean(), 0.0);
+}
+
+TEST(FrameAlloc, PerCellBandAdmissionRoundIsAllocationFree) {
+  // World construction's band round: the coordinator lists each cell's
+  // admits in ascending user id and reserves the cell's band storage, then
+  // one pool task per cell replays its list. A task must allocate nothing:
+  // an allocation on a worker thread makes glibc open that thread's own
+  // malloc arena, which shows up as resident memory the run never uses
+  // again. Shells defer their traffic streams, so mt mode must be as
+  // allocation-free as compact; the link-budget spread exercises the
+  // offset draw of every admit.
+  for (const auto kind : {common::RngKind::kMt, common::RngKind::kCompact}) {
+    SCOPED_TRACE(kind == common::RngKind::kMt ? "mt" : "compact");
+    mac::ScenarioParams params;
+    params.num_voice_users = 300;
+    params.num_data_users = 40;
+    params.seed = 17;
+    params.snr_spread_db = 3.0;
+    params.traffic_rng = kind;
+    params.defer_population = true;  // as a world's factory receives it
+    constexpr std::size_t kCells = 7;
+    const auto users = static_cast<std::size_t>(params.total_users());
+    std::vector<std::unique_ptr<mac::ProtocolEngine>> cells;
+    std::vector<std::vector<mac::BandOp>> ops(kCells);
+    std::vector<std::vector<std::uint32_t>> slots(kCells);
+    for (std::size_t c = 0; c < kCells; ++c) {
+      cells.push_back(
+          protocols::make_protocol(protocols::ProtocolId::kCharisma, params));
+      // Uneven bands: cell c holds every user whose id is not a multiple
+      // of c + 2.
+      slots[c].assign(users, 0);
+      for (std::size_t u = 0; u < users; ++u) {
+        if (u % (c + 2) != 0) {
+          ops[c].push_back(
+              mac::BandOp{static_cast<common::UserId>(u), &slots[c][u]});
+        }
+      }
+      cells[c]->reserve_band(ops[c].size());
+    }
+    experiment::WorkerPool pool(4);
+    const std::function<void(std::size_t)> round = [&](std::size_t c) {
+      cells[c]->apply_band_ops(ops[c]);
+    };
+    const std::uint64_t before =
+        g_allocations.load(std::memory_order_relaxed);
+    pool.for_each(kCells, round);
+    EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
+    // The round admitted everyone, in id order, into fresh rows.
+    for (std::size_t c = 0; c < kCells; ++c) {
+      ASSERT_EQ(cells[c]->band_size(), ops[c].size());
+      for (std::size_t k = 0; k < ops[c].size(); ++k) {
+        EXPECT_EQ(*ops[c][k].slot_out, k);
+      }
+    }
+  }
 }
 
 TEST(FrameAlloc, VoiceHandBackIntoAHeldCellIsAllocationFree) {

@@ -5,8 +5,12 @@
 // lets the bench hand out 1×..N× thread sweeps as the *same* experiment.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cctype>
+#include <cmath>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "mac/cellular_world.hpp"
 #include "protocols/factory.hpp"
@@ -333,6 +337,116 @@ TEST(WorldDeterminismExtra, ShardCountSweepBitIdentical) {
       SCOPED_TRACE("shards " + std::to_string(shards) + " threads " +
                    std::to_string(threads));
       expect_identical(reference, make(shards, threads));
+    }
+  }
+}
+
+// ---- World construction: per-cell band admission on the pool ----
+// Construction merges every cell's band admits on the coordinator, in
+// ascending user id, and then replays the lists one pool task per cell.
+// Each cell must end up exactly as the serial id-ordered admission left
+// it: the same (id, slot) band, and bitwise-equal bank rows — at every
+// thread count, dense or sparse band, eager or lazy channel.
+
+/// A 19-cell hex world at band radius `band_m` (0 = every cell),
+/// interference on, with a per-user link-budget spread so every admit
+/// also draws its offset stream.
+CellularConfig construction_config(double band_m, bool lazy,
+                                   unsigned threads) {
+  CellularConfig cfg;
+  cfg.num_cells = 19;
+  cfg.num_threads = threads;
+  cfg.params.num_voice_users = 150;
+  cfg.params.num_data_users = 40;
+  cfg.params.seed = 31;
+  cfg.params.snr_spread_db = 3.0;
+  cfg.params.lazy_channel = lazy;
+  cfg.layout.kind = SiteLayoutConfig::Kind::kHex;
+  cfg.layout.site_spacing_m = 600.0;
+  cfg.layout.reuse_factor = 3;
+  cfg.interference_activity = 0.45;
+  const auto [width, height] = SiteLayout::hex_field_extent(19, 600.0);
+  cfg.mobility.field_width_m = width;
+  cfg.mobility.field_height_m = height;
+  cfg.mobility.speed_mps = common::km_per_hour(50.0);
+  cfg.pilot_band_radius_m = band_m;
+  return cfg;
+}
+
+/// One cell's band and the bit patterns of its bank rows, in band order.
+struct CellImage {
+  std::vector<std::pair<common::UserId, std::uint32_t>> band;
+  std::vector<std::uint64_t> rows;  // I/Q, shadow, mean, step, RNG state
+};
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+CellImage image_of(ProtocolEngine& cell) {
+  CellImage image;
+  const auto& bank = cell.channel_bank();
+  const int branches = bank.config().diversity_branches;
+  for (const BandMember& m : cell.band()) {
+    image.band.emplace_back(m.id, m.slot);
+    for (int b = 0; b < branches; ++b) {
+      image.rows.push_back(bits(bank.fade_re(m.slot, b)));
+      image.rows.push_back(bits(bank.fade_im(m.slot, b)));
+    }
+    image.rows.push_back(bits(bank.shadow_db(m.slot)));
+    image.rows.push_back(bits(bank.mean_snr_db(m.slot)));
+    image.rows.push_back(static_cast<std::uint64_t>(bank.current_step(m.slot)));
+    image.rows.push_back(bank.rng_cursor(m.slot));
+  }
+  return image;
+}
+
+TEST(WorldDeterminismConstruction, PerCellAdmissionMatchesSerialOrder) {
+  for (const double band_m : {700.0, 0.0}) {
+    for (const bool lazy : {false, true}) {
+      SCOPED_TRACE("band " + std::to_string(band_m) +
+                   (lazy ? " lazy" : " eager"));
+      std::vector<CellImage> reference;
+      for (const unsigned threads : {1u, 2u, 4u}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        CellularWorld world(construction_config(band_m, lazy, threads),
+                            factory_for(protocols::ProtocolId::kCharisma));
+        std::vector<CellImage> images;
+        for (int c = 0; c < world.num_cells(); ++c) {
+          images.push_back(image_of(world.cell(c)));
+          // A cell admits its users in ascending id into fresh rows, so
+          // the k-th band member holds row k.
+          const auto& band = images.back().band;
+          for (std::size_t k = 0; k < band.size(); ++k) {
+            ASSERT_EQ(band[k].second, k) << "cell " << c << " user "
+                                         << band[k].first;
+          }
+        }
+        // The world's own band entries point at the rows the cells filled:
+        // every (user, band cell) link carries the user's path-loss mean.
+        const int users = world.cell(0).params().total_users();
+        for (int u = 0; u < users; ++u) {
+          const Vec2 pos = world.mobility().position(u);
+          for (const int c : world.band_cells(u)) {
+            auto& cell = world.cell(c);
+            ASSERT_TRUE(cell.band_resident(u));
+            const double d =
+                std::sqrt(world.layout().distance_sq(pos, c));
+            EXPECT_NEAR(cell.channel_bank().mean_snr_db(cell.user(u).slot()),
+                        world.mean_snr_at_distance_db(d), 1e-9)
+                << "user " << u << " cell " << c;
+          }
+        }
+        if (reference.empty()) {
+          reference = std::move(images);
+          continue;
+        }
+        for (int c = 0; c < world.num_cells(); ++c) {
+          SCOPED_TRACE("cell " + std::to_string(c));
+          EXPECT_EQ(images[static_cast<std::size_t>(c)].band,
+                    reference[static_cast<std::size_t>(c)].band);
+          EXPECT_EQ(images[static_cast<std::size_t>(c)].rows,
+                    reference[static_cast<std::size_t>(c)].rows);
+        }
+      }
     }
   }
 }
