@@ -27,9 +27,8 @@
 // engine, seeded from the first draw of the user's stream (scenario seed
 // and user id), so a row's realization is independent of population size:
 // row u of a populated bank equals a one-row bank given the same seed, bit
-// for bit. A population with
-// differing radio environments uses one bank per environment, as a world
-// keeps one bank per cell.
+// for bit. A population with differing radio environments uses one bank
+// per environment, as a world keeps one bank per cell.
 //
 // One clock per bank: every row is advanced to the bank clock and never
 // past it, so no row can run ahead of the others' time base.

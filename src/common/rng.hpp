@@ -33,10 +33,10 @@ std::uint64_t derive_seed(std::uint64_t root, std::uint64_t stream);
 /// The first output of std::mt19937_64(seed), i.e. exactly
 /// `std::mt19937_64(seed)()`, without building the 312-word engine. The
 /// standard fixes the engine's sequence, so this is exact for every seed:
-/// the seeding recurrence runs only as far as x[156], and the twist
-/// computes word 0 alone (from x[0], x[1] and x[156]) before tempering —
-/// about an eighth of the engine's seed-and-twist work. For call sites
-/// that seed something from a stream's first draw (bank rows).
+/// the seeding recurrence runs only as far as x[156] (of x[311]), and the
+/// twist computes word 0 alone (from x[0], x[1] and x[156]) before
+/// tempering. For call sites that seed something from a stream's first
+/// draw (bank rows).
 std::uint64_t mt19937_64_first(std::uint64_t seed);
 
 /// The first two outputs of std::mt19937_64(seed) (recurrence to x[157]).

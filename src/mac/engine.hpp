@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
