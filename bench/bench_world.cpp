@@ -34,7 +34,7 @@
 // small dense (band=all-cells) calibration world of the same geometry.
 // Timing on a 1-CPU container says little; the bytes-per-user ratio is the
 // claim. The stage also records the sparse world's construction wall time
-// (construct_s, one thread; construct_threads_s at the hardware count).
+// (construct_s, one thread).
 //   CHARISMA_BENCH_WORLD_USERS    total users in the memory stage; accepts
 //                                 k/M suffixes ("250k", "1M"); 0 skips the
 //                                 stage (default 100k, 4:1 voice:data)
@@ -116,19 +116,6 @@ struct MemoryProbe {
   double band_cells_mean = 0.0;
   int users = 0;
 };
-
-// Wall time of constructing `cfg`'s world (band admission, first link
-// plane and pilot snapshot, initial attachment), world torn down after.
-double construct_seconds(const mac::CellularConfig& cfg,
-                         protocols::ProtocolId protocol) {
-  const auto start = std::chrono::steady_clock::now();
-  mac::CellularWorld world(cfg, [&](const mac::ScenarioParams& p) {
-    return protocols::make_protocol(protocol, p);
-  });
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 // Builds the world, runs a couple of epochs (mobility moves, bands churn,
 // traffic of attached users materializes), and returns the RSS delta while
@@ -421,14 +408,6 @@ static int bench_main() {
     const auto sparse_probe = probe_memory(
         memory_config(mem_cells, mem_voice, mem_data, band_radius_m),
         protocol);
-    // The same world built at the hardware thread count (construction
-    // only, after the probes so it cannot disturb their RSS deltas): world
-    // construction admits its bands one pool task per cell.
-    auto parallel_cfg =
-        memory_config(mem_cells, mem_voice, mem_data, band_radius_m);
-    parallel_cfg.num_threads = hardware;
-    const double construct_parallel_s =
-        construct_seconds(parallel_cfg, protocol);
     const double dense_bpu =
         static_cast<double>(dense_probe.rss_bytes) / dense_probe.users;
     const double sparse_bpu =
@@ -456,14 +435,9 @@ static int bench_main() {
               << common::TextTable::num(compact_ratio, 2) << "x\n"
               << "  construction: "
               << common::TextTable::num(sparse_probe.construct_s, 3)
-              << " s at 1 thread, "
-              << common::TextTable::num(construct_parallel_s, 3) << " s at "
-              << hardware << " threads\n";
+              << " s at 1 thread\n";
     memory_fields << ",\n      \"peak_rss_bytes\": " << bench::peak_rss_bytes()
                   << ",\n      \"construct_s\": " << sparse_probe.construct_s
-                  << ",\n      \"construct_threads\": " << hardware
-                  << ",\n      \"construct_threads_s\": "
-                  << construct_parallel_s
                   << ",\n      \"memory\": {\"users\": " << total
                   << ", \"cells\": " << mem_cells
                   << ", \"band_radius_m\": " << band_radius_m

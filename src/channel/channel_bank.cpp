@@ -67,11 +67,10 @@ void ChannelBank::reserve(std::size_t users) {
 }
 
 std::size_t ChannelBank::acquire_user(std::uint64_t seed) {
-  std::size_t user;
-  if (free_slots_.empty()) {
+  const std::size_t user = next_slot();
+  if (user == step_.size()) {
     // Append an empty row; seed_row below fills it exactly as it re-seeds
     // a recycled one.
-    user = step_.size();
     rng_.push_back(common::SplitMix64(0));
     fade_re_.resize(fade_re_.size() + branches_);
     fade_im_.resize(fade_im_.size() + branches_);
@@ -85,7 +84,6 @@ std::size_t ChannelBank::acquire_user(std::uint64_t seed) {
     shadow_linear_.push_back(0.0);
     vacant_.push_back(0);
   } else {
-    user = free_slots_.back();
     free_slots_.pop_back();
     vacant_[user] = 0;
     --vacant_count_;

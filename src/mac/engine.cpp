@@ -113,7 +113,8 @@ MobileUser& ProtocolEngine::band_admit(common::UserId id,
   }
   // The bank decides the slot (fresh row or a reused free-list one); the
   // engine's storage mirrors the bank's rows one-for-one, so the shell is
-  // constructed in place at the slot its constructor acquires.
+  // constructed in place at the slot its constructor acquires — the bank's
+  // next_slot(), which acquire_user takes its slot from.
   const std::size_t slot = bank_.next_slot();
   if (slot == users_.size()) {
     users_.emplace_back(std::in_place, id, service, params_, bank_, visit);

@@ -349,8 +349,12 @@ TEST(WorldDeterminismExtra, ShardCountSweepBitIdentical) {
 // thread count, dense or sparse band, eager or lazy channel.
 
 /// A 19-cell hex world at band radius `band_m` (0 = every cell),
-/// interference on, with a per-user link-budget spread so every admit
-/// also draws its offset stream.
+/// interference on. snr_spread_db stays 0: in a world the link plane
+/// overwrites each row's mean with its path-loss value, so a spread is
+/// neither applied nor rejected there (the snr_spread_db FOUND entry in
+/// CHANGES.md), and the path-loss check below must not pin either
+/// outcome. The offset draw itself is covered by MtFirstOutput.* and
+/// FrameAlloc.PerCellBandAdmissionRoundIsAllocationFree.
 CellularConfig construction_config(double band_m, bool lazy,
                                    unsigned threads) {
   CellularConfig cfg;
@@ -359,7 +363,6 @@ CellularConfig construction_config(double band_m, bool lazy,
   cfg.params.num_voice_users = 150;
   cfg.params.num_data_users = 40;
   cfg.params.seed = 31;
-  cfg.params.snr_spread_db = 3.0;
   cfg.params.lazy_channel = lazy;
   cfg.layout.kind = SiteLayoutConfig::Kind::kHex;
   cfg.layout.site_spacing_m = 600.0;
