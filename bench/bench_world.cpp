@@ -42,6 +42,15 @@
 //   CHARISMA_BENCH_WORLD_BAND     pilot-band radius in metres (default
 //                                 1200 = 1.2x the 1000 m site spacing, a
 //                                 7-cell band)
+//
+// Horizon stage: perfbench metro_world's world shape (37 hex cells, reuse
+// 3, band 1200 m, 80 voice + 10 data users per cell, 50 km/h, interference
+// 0.4, mt traffic, CHARISMA, 4 threads) run for a long simulated horizon.
+// It records current RSS after construction and at 1.25x and 5x the
+// MEASURE knob simulated (10 s and 40 s at the default), plus the
+// hand-offs so far: memory that grows under mobility shows only there.
+// It runs first, before any other stage has freed memory the world could
+// reuse.
 #include <algorithm>
 #include <chrono>
 #include <fstream>
@@ -146,6 +155,69 @@ MemoryProbe probe_memory(const mac::CellularConfig& cfg,
   return probe;
 }
 
+// The horizon stage's world: perfbench metro_world's (charisma_sim
+// protocol=charisma layout=hex cells=37 reuse=3 band=1200 voice_users=2960
+// data_users=370 threads=4) at this bench's seed.
+mac::CellularConfig horizon_config() {
+  constexpr int kCells = 37;
+  mac::CellularConfig cfg;
+  cfg.num_cells = kCells;
+  cfg.num_threads = 4;
+  cfg.params.num_voice_users = 80 * kCells;
+  cfg.params.num_data_users = 10 * kCells;
+  cfg.params.seed = 2024;
+  cfg.params.request_queue = true;
+  cfg.params.traffic_rng = common::RngKind::kMt;
+  cfg.params.channel.mean_snr_db = 26.0;
+  cfg.mobility.model = mac::MobilityConfig::Model::kRandomWaypoint;
+  cfg.mobility.speed_mps = common::km_per_hour(50.0);
+  cfg.params.channel.doppler_hz =
+      std::max(1.0, channel::ChannelConfig::doppler_for_speed(
+                        cfg.mobility.speed_mps, 2.0e9));
+  cfg.layout.kind = mac::SiteLayoutConfig::Kind::kHex;
+  cfg.layout.reuse_factor = 3;
+  cfg.layout.site_spacing_m = 1000.0;
+  const auto [width, height] =
+      mac::SiteLayout::hex_field_extent(kCells, cfg.layout.site_spacing_m);
+  cfg.mobility.field_width_m = width;
+  cfg.mobility.field_height_m = height;
+  cfg.pilot_band_radius_m = 1200.0;
+  cfg.interference_activity = 0.4;
+  return cfg;
+}
+
+struct HorizonProbe {
+  double short_s = 0.0;
+  double long_s = 0.0;
+  int cells = 0;
+  int users = 0;
+  long long rss_before_bytes = 0;  // the process before construction
+  long long rss_construct_bytes = 0;
+  long long rss_short_bytes = 0;
+  long long rss_long_bytes = 0;
+  std::int64_t handoffs = 0;
+};
+
+HorizonProbe probe_horizon(double short_s, double long_s) {
+  HorizonProbe probe;
+  probe.short_s = short_s;
+  probe.long_s = long_s;
+  probe.rss_before_bytes = bench::current_rss_bytes();
+  const auto cfg = horizon_config();
+  probe.cells = cfg.num_cells;
+  probe.users = cfg.params.total_users();
+  mac::CellularWorld world(cfg, [](const mac::ScenarioParams& p) {
+    return protocols::make_protocol(protocols::ProtocolId::kCharisma, p);
+  });
+  probe.rss_construct_bytes = bench::current_rss_bytes();
+  world.advance(short_s);
+  probe.rss_short_bytes = bench::current_rss_bytes();
+  world.advance(long_s - short_s);
+  probe.rss_long_bytes = bench::current_rss_bytes();
+  probe.handoffs = world.handoffs();
+  return probe;
+}
+
 // The bit-identical cross-check is ProtocolMetrics::operator== — the same
 // exact, every-field equality the determinism test uses.
 
@@ -184,6 +256,17 @@ static int bench_main() {
   std::sort(threads_list.begin(), threads_list.end());
   threads_list.erase(std::unique(threads_list.begin(), threads_list.end()),
                      threads_list.end());
+
+  const auto horizon = probe_horizon(1.25 * measure_s, 5.0 * measure_s);
+  const auto mib = [](long long bytes) {
+    return common::TextTable::num(static_cast<double>(bytes) / (1 << 20), 1);
+  };
+  std::cout << "horizon (metro_world shape, " << horizon.users
+            << " users): current RSS " << mib(horizon.rss_construct_bytes)
+            << " MiB after construction, " << mib(horizon.rss_short_bytes)
+            << " MiB at " << horizon.short_s << " s, "
+            << mib(horizon.rss_long_bytes) << " MiB at " << horizon.long_s
+            << " s simulated; " << horizon.handoffs << " hand-offs\n\n";
 
   std::cout << "population: " << voice << " voice + " << data
             << " data users, measure " << measure_s
@@ -456,6 +539,16 @@ static int bench_main() {
          << ",\n      \"measure_s\": " << measure_s
          << ",\n      \"hardware_concurrency\": " << hardware
          << memory_fields.str()
+         << ",\n      \"horizon\": {\"cells\": " << horizon.cells
+         << ", \"users\": " << horizon.users
+         << ", \"protocol\": \"CHARISMA\", \"threads\": 4"
+         << ", \"rss_before_bytes\": " << horizon.rss_before_bytes
+         << ", \"rss_construct_bytes\": " << horizon.rss_construct_bytes
+         << ", \"short_s\": " << horizon.short_s
+         << ", \"rss_short_bytes\": " << horizon.rss_short_bytes
+         << ", \"long_s\": " << horizon.long_s
+         << ", \"rss_long_bytes\": " << horizon.rss_long_bytes
+         << ", \"handoffs\": " << horizon.handoffs << "}"
          << ",\n      \"all_thread_counts_bit_identical_to_serial\": "
          << (all_deterministic ? "true" : "false")
          << ",\n      \"best_speedup_cells4plus_threads4plus\": "

@@ -295,7 +295,8 @@ enum class RngKind : std::uint8_t { kMt, kCompact };
 /// what MobileUser used to hold, so mt draws stay bit-identical) or an
 /// inline CompactRngStream (compact mode, no heap at all). The dispatch
 /// branch is perfectly predicted — a scenario picks one kind and sticks
-/// with it.
+/// with it. Move-only: a stream has one owner, and a handoff moves it with
+/// the user's sources instead of duplicating its state.
 class TrafficRng {
  public:
   TrafficRng(RngKind kind, std::uint64_t root, std::uint64_t stream)
@@ -313,24 +314,6 @@ class TrafficRng {
   TrafficRng(CompactRngStream stream)  // NOLINT(google-explicit-constructor)
       : compact_(stream) {}
 
-  TrafficRng(const TrafficRng& other)
-      : compact_(other.compact_),
-        mt_(other.mt_ ? std::make_unique<RngStream>(*other.mt_) : nullptr) {}
-  /// Copies into the existing RngStream when both sides are mt, so a
-  /// handoff that overwrites a source's stream allocates nothing.
-  TrafficRng& operator=(const TrafficRng& other) {
-    if (this != &other) {
-      compact_ = other.compact_;
-      if (!other.mt_) {
-        mt_.reset();
-      } else if (mt_) {
-        *mt_ = *other.mt_;
-      } else {
-        mt_ = std::make_unique<RngStream>(*other.mt_);
-      }
-    }
-    return *this;
-  }
   TrafficRng(TrafficRng&&) noexcept = default;
   TrafficRng& operator=(TrafficRng&&) noexcept = default;
 

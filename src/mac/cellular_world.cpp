@@ -588,15 +588,15 @@ void CellularWorld::move_user(common::UserId user, int from, int to,
                               bool outage) {
   auto& source = *cells_[static_cast<std::size_t>(from)];
   auto& target = *cells_[static_cast<std::size_t>(to)];
-  // Carry the service state over, then drop what cannot survive the break:
-  // the in-flight voice packet dies in transit (counted by the source cell
-  // as voice_dropped_handoff, or voice_dropped_outage for an eviction);
-  // the data backlog rides along. The target side counts handoffs_in
-  // either way, so world-wide:
+  // The source cell detaches first: the in-flight voice packet dies in
+  // transit, counted there as voice_dropped_handoff (voice_dropped_outage
+  // for an eviction), and must still be in its sources to be counted.
+  // Then the sources move — data backlog included — into the target's
+  // shell, the one live copy, and the target attaches. The target counts
+  // handoffs_in either way, so world-wide:
   // sum(handoffs_in) == sum(handoffs_out) + sum(evictions).
-  target.user(user).adopt_service_state(source.user(user));
-  target.user(user).drop_pending_voice();
   source.detach_user(user, outage);
+  target.user(user).adopt_service_state(source.user(user));
   target.attach_user(user);
   attached_[static_cast<std::size_t>(user)] = to;
   --attach_counts_[static_cast<std::size_t>(from)];

@@ -180,8 +180,8 @@ struct CellularConfig {
     for (const auto& o : outages) {
       if (!o.valid(num_cells)) return false;
     }
-    return num_cells >= 1 && params.valid() && mobility.valid() &&
-           layout.valid() && pilot_band_radius_m >= 0.0 &&
+    return num_cells >= 1 && params.valid() && params.snr_spread_db == 0.0 &&
+           mobility.valid() && layout.valid() && pilot_band_radius_m >= 0.0 &&
            interference_activity >= 0.0 &&
            interference_activity <= 1.0 && handoff_hysteresis_db >= 0.0 &&
            pilot_filter_tau > 0.0 && decision_interval > 0.0 &&
@@ -424,11 +424,11 @@ class CellularWorld {
   /// executes move_user so every engine mutation (and RNG draw) lands in
   /// the serial order.
   void apply_attachment_moves();
-  /// Moves an attached user from cell `from` to cell `to`, carrying its
-  /// service state. A hysteresis handoff (`outage` false) counts toward
-  /// handoffs_; a forced move off a dark cell (`outage` true) is booked by
-  /// the source as an outage eviction (voice in flight ->
-  /// voice_dropped_outage) and is exempt from hysteresis.
+  /// Moves an attached user from cell `from` to cell `to`, moving its
+  /// service state into the target's shell. A hysteresis handoff (`outage`
+  /// false) counts toward handoffs_; a forced move off a dark cell
+  /// (`outage` true) is booked by the source as an outage eviction (voice
+  /// in flight -> voice_dropped_outage) and is exempt from hysteresis.
   void move_user(common::UserId user, int from, int to, bool outage);
   /// True when the outage schedule darkens cell `c` at time `t`.
   bool is_dark(int c, common::Time t) const;

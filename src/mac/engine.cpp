@@ -244,9 +244,9 @@ void ProtocolEngine::attach_user(common::UserId id) {
   auto& u = user(id);
   if (u.present()) return;
   ++metrics_.handoffs_in;
-  // A shell admitted into the band gets its MAC stream here; the traffic
-  // sources were already adopted from the previous cell (handoff
-  // continuity wins over a fresh draw), so ensure_traffic only fills gaps.
+  // The caller moved the sources in (handoff continuity wins over a fresh
+  // draw); a shell admitted into the band gets only its MAC stream here.
+  assert(u.holds_sources() && "hand-in without the user's sources");
   u.ensure_traffic(params_);
   mark_present(u);
   // Dropped on the last detach.
@@ -320,8 +320,8 @@ void ProtocolEngine::advance_world() {
   // fading/shadowing state instead of per-user pointer-chasing walks.
   // Detached users' channels keep evolving (their pilots are what the
   // attachment policy measures and the draw order must not depend on the
-  // attachment pattern); only their traffic is frozen — the attached
-  // cell's copy is authoritative and is carried over on handoff.
+  // attachment pattern); they have no traffic here — the attached cell's
+  // shell owns the sources, and a handoff moves them.
   //
   // Lazy (params.lazy_channel): an O(1) clock move. Users materialize via
   // the protocol's touch_channels sets or transparently on first read —

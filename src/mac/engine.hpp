@@ -192,9 +192,10 @@ class ProtocolEngine {
   /// and voice_dropped_outage instead. No-op when already detached.
   void detach_user(common::UserId id, bool outage);
 
-  /// (Re-)admits the user to this cell's active population. The caller is
-  /// responsible for carrying the user's service state in first
-  /// (MobileUser::adopt_service_state). No-op when already attached.
+  /// (Re-)admits the user to this cell's active population. The caller
+  /// moves the user's service state in first
+  /// (MobileUser::adopt_service_state): the shell must hold the sources.
+  /// No-op when already attached.
   void attach_user(common::UserId id);
 
   /// Records one decision epoch of the world's inter-cell interference
@@ -444,7 +445,7 @@ class ProtocolEngine {
   /// because between ticks a due time only ever moves later:
   /// consume_packet, drop_pending_voice and the ARQ push_front drop or
   /// requeue packets, set_rate_scale affects future draws only, and a
-  /// hand-in's adopt_service_state precedes the attach that marks -inf.
+  /// hand-in's sources move in before the attach that marks -inf.
   std::vector<common::Time> next_due_;
   /// The attached band members, ascending by id: mark_present inserts,
   /// detach_user erases. band_admit keeps its capacity at least the

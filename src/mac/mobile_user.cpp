@@ -56,7 +56,7 @@ void MobileUser::ensure_traffic(const ScenarioParams& params) {
     rng_.emplace(params.traffic_rng, seed_,
                  kMacStream + static_cast<std::uint64_t>(id_));
   }
-  if (voice_ != nullptr || data_ != nullptr) return;  // adopted on handoff
+  if (holds_sources()) return;  // moved in on handoff
   common::TrafficRng source_rng(params.traffic_rng, seed_,
                                 kSourceStream + static_cast<std::uint64_t>(id_));
   if (service_ == ServiceType::kVoice) {

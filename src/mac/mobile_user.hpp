@@ -13,10 +13,13 @@
 // ScenarioParams::traffic_rng = kCompact the deferred streams themselves
 // shrink to ~24 bytes (splitmix64 counters), so even *attached* users stay
 // cheap — the remaining per-user cost is the channel row and the sources'
-// queues.
+// queues. The traffic sources have one owner: a handoff moves them into
+// the target cell's shell (adopt_service_state), so a shell the user has
+// left keeps its channel row and MAC stream but no sources.
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <memory>
 #include <optional>
 
@@ -63,8 +66,8 @@ class MobileUser {
   common::TrafficRng& rng() { return *rng_; }
 
   /// Materializes the deferred per-user state: the MAC stream always, the
-  /// traffic source only when none exists yet (a handoff adopts the
-  /// source from the previous cell first — that continuity wins over a
+  /// traffic source only when none exists yet (a handoff moves the
+  /// source in from the previous cell first — that continuity wins over a
   /// fresh draw). Seeded from this user's visit-derived seed, so a first
   /// attach draws the plain scenario seed's streams. Idempotent.
   void ensure_traffic(const ScenarioParams& params);
@@ -78,17 +81,22 @@ class MobileUser {
   bool present() const { return present_; }
   void set_present(bool present) { present_ = present; }
 
-  /// Carries the user's service state into this cell on handoff: traffic
-  /// sources (talkspurt phase, pending packets, data backlog — the
+  /// Moves the user's service state into this cell's shell on handoff:
+  /// traffic sources (talkspurt phase, pending packets, data backlog — the
   /// continuity a handoff must preserve) and the contention backoff scale.
-  /// The channel is *not* carried: each cell's link fades independently.
-  /// A source this cell already holds from an earlier stay is assigned
-  /// into in place, so a hand-back allocates nothing.
-  void adopt_service_state(const MobileUser& other) {
-    adopt(voice_, other.voice_);
-    adopt(data_, other.data_);
+  /// `other` is left without sources, so the user's one live copy follows
+  /// its attachment. The channel is *not* carried: each cell's link fades
+  /// independently.
+  void adopt_service_state(MobileUser& other) {
+    assert(!holds_sources() && "a user's sources live in one shell");
+    voice_ = std::move(other.voice_);
+    data_ = std::move(other.data_);
     backoff_scale_ = other.backoff_scale_;
   }
+
+  /// True when this shell owns the user's traffic sources: in a world,
+  /// exactly the shell of the cell the user is attached to.
+  bool holds_sources() const { return voice_ != nullptr || data_ != nullptr; }
 
   /// Drops the in-flight voice packet, if any (lost in transit during a
   /// handoff). Returns the number of packets dropped (0 or 1).
@@ -113,20 +121,6 @@ class MobileUser {
   }
 
  private:
-  /// Makes `mine` a copy of `theirs` (null when theirs is), reusing
-  /// mine's object when both exist.
-  template <typename Source>
-  static void adopt(std::unique_ptr<Source>& mine,
-                    const std::unique_ptr<Source>& theirs) {
-    if (!theirs) {
-      mine.reset();
-    } else if (mine) {
-      *mine = *theirs;
-    } else {
-      mine = std::make_unique<Source>(*theirs);
-    }
-  }
-
   double backoff_scale_ = 1.0;
   bool present_ = false;
   common::UserId id_;

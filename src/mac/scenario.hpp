@@ -89,6 +89,8 @@ struct ScenarioParams {
   /// devices ... suffer from different degrees of fading and shadowing"
   /// of §1. 0 = homogeneous cell (the figure benches' default); > 0
   /// exercises the capacity-fair scheduling extension (§6 / [22]).
+  /// Single-cell only: a CellularWorld's link plane sets every row's mean
+  /// from path loss, so CellularConfig rejects a non-zero spread.
   double snr_spread_db = 0.0;
 
   /// Mobile-device transmit-energy model (paper §1, motivation 2).

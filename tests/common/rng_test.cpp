@@ -594,45 +594,6 @@ TEST(TrafficRng, ImplicitConversionFromStreams) {
   }
 }
 
-TEST(TrafficRng, CopyIsDeepForBothKinds) {
-  for (const RngKind kind : {RngKind::kMt, RngKind::kCompact}) {
-    TrafficRng original(kind, 9, 9);
-    (void)original.uniform();
-    TrafficRng copy = original;  // snapshot mid-stream
-    // Advancing the copy must not move the original (a handoff's adopted
-    // source must fork, not alias).
-    const double from_copy = copy.uniform();
-    const double from_original = original.uniform();
-    EXPECT_DOUBLE_EQ(from_copy, from_original);
-    TrafficRng assigned(RngKind::kMt, 1, 1);
-    assigned = original;
-    EXPECT_DOUBLE_EQ(assigned.uniform(), original.uniform());
-  }
-}
-
-TEST(TrafficRng, AssignmentTakesTheSourceKindAndStaysDeep) {
-  // Every (target, source) kind pair: the target continues the source's
-  // sequence exactly — an mt target reuses its own stream in place — and
-  // advancing it leaves the source where it was.
-  for (const RngKind target_kind : {RngKind::kMt, RngKind::kCompact}) {
-    for (const RngKind source_kind : {RngKind::kMt, RngKind::kCompact}) {
-      TrafficRng source(source_kind, 4, 2);
-      (void)source.normal();  // leave a Box–Muller spare behind
-      TrafficRng target(target_kind, 8, 3);
-      (void)target.uniform();
-      const TrafficRng witness = source;
-      target = source;
-      EXPECT_EQ(target.kind(), source_kind);
-      TrafficRng expected = witness;
-      for (int i = 0; i < 4; ++i) {
-        EXPECT_EQ(target.normal(), expected.normal());
-      }
-      TrafficRng untouched = witness;
-      EXPECT_EQ(source.normal(), untouched.normal());
-    }
-  }
-}
-
 TEST(TrafficRng, CompactFootprintStaysSmall) {
   // The entire point: a compact-mode TrafficRng is a counter + spare +
   // flag + an (empty) mt pointer — two orders of magnitude below the

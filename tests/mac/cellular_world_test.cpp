@@ -403,6 +403,13 @@ TEST(CellularWorld, Validation) {
       std::invalid_argument);
   EXPECT_THROW(CellularWorld(small_world(), EngineFactory{}),
                std::invalid_argument);
+  // The link plane sets every row's mean from path loss, so a per-user
+  // link-budget spread would be drawn and then discarded: rejected.
+  cfg = small_world();
+  cfg.params.snr_spread_db = 3.0;
+  EXPECT_THROW(
+      CellularWorld(cfg, factory_for(protocols::ProtocolId::kDtdmaFr)),
+      std::invalid_argument);
   CellularWorld world(small_world(),
                       factory_for(protocols::ProtocolId::kDtdmaFr));
   EXPECT_THROW(world.run(-1.0, 1.0), std::invalid_argument);

@@ -14,6 +14,7 @@
 #include <functional>
 #include <memory>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "experiment/worker_pool.hpp"
@@ -361,12 +362,40 @@ TEST(FrameAlloc, PerCellBandAdmissionRoundIsAllocationFree) {
   }
 }
 
+/// Two deferred-population engines standing in for two cells of a world:
+/// every user is a band shell in both, and attached, with live traffic, in
+/// `home` only. A never-attached shell holds neither sources nor a MAC
+/// stream.
+struct TwoCells {
+  std::unique_ptr<mac::ProtocolEngine> home;
+  std::unique_ptr<mac::ProtocolEngine> away;
+
+  explicit TwoCells(mac::ScenarioParams params) {
+    params.defer_population = true;  // as a world's factory receives it
+    home = protocols::make_protocol(protocols::ProtocolId::kCharisma, params);
+    away = protocols::make_protocol(protocols::ProtocolId::kCharisma, params);
+    for (int id = 0; id < params.total_users(); ++id) {
+      const auto u = static_cast<common::UserId>(id);
+      home->band_admit(u, false);
+      away->band_admit(u, false);
+      home->attach_user_initial(u);
+    }
+  }
+};
+
+/// The world's move_user sequence: the leaving cell detaches (booking the
+/// in-flight voice packet), the sources move, the target attaches.
+void hand(mac::ProtocolEngine& from, mac::ProtocolEngine& to,
+          common::UserId u) {
+  from.detach_user(u, /*outage=*/false);
+  to.user(u).adopt_service_state(from.user(u));
+  to.attach_user(u);
+}
+
 TEST(FrameAlloc, VoiceHandBackIntoAHeldCellIsAllocationFree) {
-  // A hand-in into a cell where the user already holds traffic sources
-  // from an earlier stay assigns into them: no new source objects and, in
-  // mt mode, no fresh ~2.5 KB mt19937_64. Two single-cell engines stand in
-  // for two cells of a dense world, and each hand-in is the world's
-  // move_user sequence: adopt, drop the in-flight packet, detach, attach.
+  // A hand-in into a cell whose shell already has the user's MAC stream
+  // from an earlier stay moves the sources in: no new source objects and,
+  // in mt mode, no fresh ~2.5 KB mt19937_64.
   for (const auto kind : {common::RngKind::kMt, common::RngKind::kCompact}) {
     SCOPED_TRACE(kind == common::RngKind::kMt ? "mt" : "compact");
     mac::ScenarioParams params;
@@ -374,32 +403,57 @@ TEST(FrameAlloc, VoiceHandBackIntoAHeldCellIsAllocationFree) {
     params.num_data_users = 0;
     params.seed = 13;
     params.traffic_rng = kind;
-    auto a = protocols::make_protocol(protocols::ProtocolId::kCharisma, params);
-    auto b = protocols::make_protocol(protocols::ProtocolId::kCharisma, params);
-    a->run(0.2, 0.2);
-    b->run(0.2, 0.2);
+    TwoCells cells(params);
+    auto& a = *cells.home;
+    auto& b = *cells.away;
+    a.run(0.2, 0.2);
+    b.run(0.2, 0.2);
     const common::UserId u = 0;
-    b->detach_user(u, /*outage=*/false);  // u lives in a; b keeps sources
-    auto hand = [u](mac::ProtocolEngine& from, mac::ProtocolEngine& to) {
-      to.user(u).adopt_service_state(from.user(u));
-      to.user(u).drop_pending_voice();
-      from.detach_user(u, /*outage=*/false);
-      to.attach_user(u);
-    };
-    hand(*a, *b);  // warm: both cells have seen u attached
-    hand(*b, *a);
+    hand(a, b, u);  // warm: both cells have seen u attached
+    hand(b, a, u);
+    const traffic::VoiceSource* const voice = &a.user(u).voice();
     const std::uint64_t before =
         g_allocations.load(std::memory_order_relaxed);
-    hand(*a, *b);
-    hand(*b, *a);
+    hand(a, b, u);
+    hand(b, a, u);
     EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
-    // The service state was carried, not left behind.
-    EXPECT_TRUE(a->user(u).present());
-    EXPECT_FALSE(b->user(u).present());
-    EXPECT_EQ(a->user(u).voice().packets_generated(),
-              b->user(u).voice().packets_generated());
-    EXPECT_EQ(a->user(u).voice().next_packet_at(),
-              b->user(u).voice().next_packet_at());
+    // The one source object travelled with the user; the cell it left
+    // keeps no copy.
+    EXPECT_TRUE(a.user(u).present());
+    EXPECT_FALSE(b.user(u).present());
+    EXPECT_EQ(&a.user(u).voice(), voice);
+    EXPECT_FALSE(b.user(u).holds_sources());
+  }
+}
+
+TEST(FrameAlloc, FirstHandInIsAllocationFree) {
+  // A user's first hand-in to a cell lands in a never-attached band shell:
+  // its sources move in, and only the cell's MAC stream is built. That
+  // stream is inline in compact mode and one heap-held mt19937_64 in mt
+  // mode, so a first hand-in allocates 0 and 1 times respectively.
+  for (const auto kind : {common::RngKind::kMt, common::RngKind::kCompact}) {
+    SCOPED_TRACE(kind == common::RngKind::kMt ? "mt" : "compact");
+    mac::ScenarioParams params;
+    params.num_voice_users = 3;
+    params.num_data_users = 2;
+    params.seed = 21;
+    params.traffic_rng = kind;
+    TwoCells cells(params);
+    cells.home->run(0.2, 0.5);
+    cells.away->run(0.2, 0.5);
+    const std::uint64_t expected = kind == common::RngKind::kMt ? 1u : 0u;
+    for (int id = 0; id < params.total_users(); ++id) {
+      const auto u = static_cast<common::UserId>(id);
+      SCOPED_TRACE("user " + std::to_string(id));
+      const std::uint64_t before =
+          g_allocations.load(std::memory_order_relaxed);
+      hand(*cells.home, *cells.away, u);
+      EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before,
+                expected);
+      EXPECT_FALSE(cells.home->user(u).holds_sources());
+      EXPECT_TRUE(cells.away->user(u).holds_sources());
+      EXPECT_TRUE(cells.away->user(u).present());
+    }
   }
 }
 

@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "channel/channel_bank.hpp"
 
 namespace charisma::mac {
 namespace {
+
+// A user's traffic state has one live copy: a handoff moves it, and
+// nothing can duplicate the streams behind it.
+static_assert(!std::is_copy_constructible_v<common::TrafficRng>);
+static_assert(!std::is_copy_constructible_v<traffic::VoiceSource>);
+static_assert(!std::is_copy_constructible_v<traffic::DataSource>);
 
 ScenarioParams test_params() {
   ScenarioParams p;

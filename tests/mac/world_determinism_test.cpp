@@ -349,12 +349,10 @@ TEST(WorldDeterminismExtra, ShardCountSweepBitIdentical) {
 // thread count, dense or sparse band, eager or lazy channel.
 
 /// A 19-cell hex world at band radius `band_m` (0 = every cell),
-/// interference on. snr_spread_db stays 0: in a world the link plane
-/// overwrites each row's mean with its path-loss value, so a spread is
-/// neither applied nor rejected there (the snr_spread_db FOUND entry in
-/// CHANGES.md), and the path-loss check below must not pin either
-/// outcome. The offset draw itself is covered by MtFirstOutput.* and
-/// FrameAlloc.PerCellBandAdmissionRoundIsAllocationFree.
+/// interference on. snr_spread_db stays 0: the link plane sets each row's
+/// mean from path loss, so a world rejects a spread
+/// (CellularWorld.Validation). The offset draw itself is covered by
+/// MtFirstOutput.* and FrameAlloc.PerCellBandAdmissionRoundIsAllocationFree.
 CellularConfig construction_config(double band_m, bool lazy,
                                    unsigned threads) {
   CellularConfig cfg;
@@ -451,6 +449,37 @@ TEST(WorldDeterminismConstruction, PerCellAdmissionMatchesSerialOrder) {
         }
       }
     }
+  }
+}
+
+TEST(WorldDeterminismExtra, EachUserHoldsSourcesOnlyInItsAttachedShell) {
+  // A handoff moves the user's traffic sources into the target's shell,
+  // so after every epoch each user holds sources in exactly one shell
+  // world-wide — its attached cell's — however many bands it has crossed.
+  // The partial band churns shells, and the outage forces evictions, the
+  // second kind of move.
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    auto cfg = hex_world_config(threads, /*seed=*/29);
+    cfg.pilot_band_radius_m = 700.0;
+    cfg.outages.push_back({2, 0.5, 0.9});
+    CellularWorld world(cfg, factory_for(protocols::ProtocolId::kCharisma));
+    const int users = cfg.params.total_users();
+    for (int epoch = 0; epoch < 60; ++epoch) {
+      world.advance(cfg.decision_interval);
+      for (common::UserId u = 0; u < users; ++u) {
+        int holders = 0;
+        for (const int c : world.band_cells(u)) {
+          if (!world.cell(c).user(u).holds_sources()) continue;
+          ++holders;
+          EXPECT_EQ(c, world.attached_cell(u))
+              << "epoch " << epoch << " user " << u;
+        }
+        EXPECT_EQ(holders, 1) << "epoch " << epoch << " user " << u;
+      }
+    }
+    EXPECT_GT(world.handoffs(), 0);
+    EXPECT_GT(world.aggregate_metrics().outage_evictions, 0);
   }
 }
 
