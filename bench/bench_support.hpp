@@ -91,6 +91,15 @@ inline std::vector<unsigned> env_list(const char* name,
   return values;
 }
 
+/// One "key=value" entry of a knob list (experiment::parse_knobs), the
+/// value printed so that it parses back to the same double.
+inline std::string knob(const std::string& key, double value) {
+  std::ostringstream out;
+  out.precision(std::numeric_limits<double>::max_digits10);
+  out << key << '=' << value;
+  return out.str();
+}
+
 /// Peak resident set of this process so far, in bytes (Linux reports
 /// ru_maxrss in kilobytes). Monotone — use current_rss_bytes for deltas.
 inline long long peak_rss_bytes() {

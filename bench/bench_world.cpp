@@ -66,21 +66,13 @@ namespace {
 
 using namespace charisma;
 
-mac::CellularConfig world_config(int cells, unsigned threads, int voice,
-                                 int data) {
-  mac::CellularConfig cfg;
-  cfg.num_cells = cells;
-  cfg.num_threads = threads;
-  cfg.params.num_voice_users = voice;
-  cfg.params.num_data_users = data;
-  cfg.params.seed = 2024;
-  cfg.params.channel.mean_snr_db = 26.0;  // link budget at the reference
-  cfg.params.channel.shadow_sigma_db = 6.0;
-  cfg.mobility.field_width_m = 1000.0 * cells;
-  cfg.mobility.field_height_m = 1000.0;
-  cfg.mobility.speed_mps = common::km_per_hour(90.0);
-  cfg.handoff_hysteresis_db = 4.0;
-  return cfg;
+// The sweep's line world, 1000 m per cell, at vehicular speed with the
+// default 100 Hz Doppler.
+std::vector<std::string> world_knobs(int cells, unsigned threads, int voice,
+                                     int data) {
+  return {bench::knob("cells", cells), bench::knob("threads", threads),
+          bench::knob("voice_users", voice), bench::knob("data_users", data),
+          "seed=2024", "shadow_sigma_db=6", "kmh=90", "doppler_hz=100"};
 }
 
 struct Point {
@@ -93,30 +85,14 @@ struct Point {
 
 // A hexagonal world for the memory stage: interference on, users spread
 // over the whole cluster, band radius as given (0 = dense).
-mac::CellularConfig memory_config(int cells, int voice, int data,
-                                  double band_radius_m,
-                                  common::RngKind rng = common::RngKind::kMt) {
-  mac::CellularConfig cfg;
-  cfg.num_cells = cells;
-  cfg.num_threads = 1;
-  cfg.params.num_voice_users = voice;
-  cfg.params.num_data_users = data;
-  cfg.params.seed = 2024;
-  cfg.params.traffic_rng = rng;
-  cfg.params.channel.mean_snr_db = 26.0;
-  cfg.params.channel.shadow_sigma_db = 6.0;
-  cfg.layout.kind = mac::SiteLayoutConfig::Kind::kHex;
-  cfg.layout.site_spacing_m = 1000.0;
-  cfg.layout.reuse_factor = 3;
-  cfg.interference_activity = 0.4;
-  cfg.pilot_band_radius_m = band_radius_m;
-  const auto [width, height] =
-      mac::SiteLayout::hex_field_extent(cells, cfg.layout.site_spacing_m);
-  cfg.mobility.field_width_m = width;
-  cfg.mobility.field_height_m = height;
-  cfg.mobility.speed_mps = common::km_per_hour(90.0);
-  cfg.handoff_hysteresis_db = 4.0;
-  return cfg;
+std::vector<std::string> memory_knobs(int cells, int voice, int data,
+                                      double band_radius_m,
+                                      const char* traffic_rng = "mt") {
+  return {"layout=hex", bench::knob("cells", cells), "reuse=3",
+          bench::knob("band", band_radius_m), bench::knob("voice_users", voice),
+          bench::knob("data_users", data),
+          std::string("traffic_rng=") + traffic_rng, "seed=2024",
+          "shadow_sigma_db=6", "kmh=90", "doppler_hz=100"};
 }
 
 struct MemoryProbe {
@@ -130,8 +106,9 @@ struct MemoryProbe {
 // traffic of attached users materializes), and returns the RSS delta while
 // the world is alive. The delta can be understated by allocator reuse of
 // earlier frees, so callers should probe smaller worlds first.
-MemoryProbe probe_memory(const mac::CellularConfig& cfg,
+MemoryProbe probe_memory(const std::vector<std::string>& knobs,
                          protocols::ProtocolId protocol) {
+  const auto cfg = experiment::parse_knobs(knobs).world;
   const long long before = bench::current_rss_bytes();
   const auto start = std::chrono::steady_clock::now();
   mac::CellularWorld world(cfg, [&](const mac::ScenarioParams& p) {
@@ -155,36 +132,10 @@ MemoryProbe probe_memory(const mac::CellularConfig& cfg,
   return probe;
 }
 
-// The horizon stage's world: perfbench metro_world's (charisma_sim
-// protocol=charisma layout=hex cells=37 reuse=3 band=1200 voice_users=2960
-// data_users=370 threads=4) at this bench's seed.
-mac::CellularConfig horizon_config() {
-  constexpr int kCells = 37;
-  mac::CellularConfig cfg;
-  cfg.num_cells = kCells;
-  cfg.num_threads = 4;
-  cfg.params.num_voice_users = 80 * kCells;
-  cfg.params.num_data_users = 10 * kCells;
-  cfg.params.seed = 2024;
-  cfg.params.request_queue = true;
-  cfg.params.traffic_rng = common::RngKind::kMt;
-  cfg.params.channel.mean_snr_db = 26.0;
-  cfg.mobility.model = mac::MobilityConfig::Model::kRandomWaypoint;
-  cfg.mobility.speed_mps = common::km_per_hour(50.0);
-  cfg.params.channel.doppler_hz =
-      std::max(1.0, channel::ChannelConfig::doppler_for_speed(
-                        cfg.mobility.speed_mps, 2.0e9));
-  cfg.layout.kind = mac::SiteLayoutConfig::Kind::kHex;
-  cfg.layout.reuse_factor = 3;
-  cfg.layout.site_spacing_m = 1000.0;
-  const auto [width, height] =
-      mac::SiteLayout::hex_field_extent(kCells, cfg.layout.site_spacing_m);
-  cfg.mobility.field_width_m = width;
-  cfg.mobility.field_height_m = height;
-  cfg.pilot_band_radius_m = 1200.0;
-  cfg.interference_activity = 0.4;
-  return cfg;
-}
+// The horizon stage's world: perfbench metro_world's at this bench's seed.
+const std::vector<std::string> kHorizonKnobs = {
+    "protocol=charisma", "layout=hex", "cells=37", "reuse=3", "band=1200",
+    "voice_users=2960", "data_users=370", "threads=4", "seed=2024"};
 
 struct HorizonProbe {
   double short_s = 0.0;
@@ -203,11 +154,11 @@ HorizonProbe probe_horizon(double short_s, double long_s) {
   probe.short_s = short_s;
   probe.long_s = long_s;
   probe.rss_before_bytes = bench::current_rss_bytes();
-  const auto cfg = horizon_config();
-  probe.cells = cfg.num_cells;
-  probe.users = cfg.params.total_users();
-  mac::CellularWorld world(cfg, [](const mac::ScenarioParams& p) {
-    return protocols::make_protocol(protocols::ProtocolId::kCharisma, p);
+  const auto knobs = experiment::parse_knobs(kHorizonKnobs);
+  probe.cells = knobs.world.num_cells;
+  probe.users = knobs.world.params.total_users();
+  mac::CellularWorld world(knobs.world, [&](const mac::ScenarioParams& p) {
+    return protocols::make_protocol(knobs.protocols.front(), p);
   });
   probe.rss_construct_bytes = bench::current_rss_bytes();
   world.advance(short_s);
@@ -284,7 +235,9 @@ static int bench_main() {
     for (unsigned threads : threads_list) {
       // Fresh world per repetition (identical seed); min wall clock
       // filters scheduler noise and first-touch warmup.
-      const auto cfg = world_config(cells, threads, voice, data);
+      const auto cfg =
+          experiment::parse_knobs(world_knobs(cells, threads, voice, data))
+              .world;
       double best_wall = 0.0;
       mac::ProtocolMetrics m;
       std::int64_t handoffs = 0;
@@ -389,7 +342,9 @@ static int bench_main() {
   mac::ProtocolMetrics shard_ref_metrics;
   std::int64_t shard_ref_handoffs = 0;
   for (unsigned shards : shards_list) {
-    auto cfg = world_config(shard_cells, /*threads=*/1, voice, data);
+    auto cfg = experiment::parse_knobs(
+                   world_knobs(shard_cells, /*threads=*/1, voice, data))
+                   .world;
     cfg.num_shards = shards;
     double best_wall = 0.0;
     double best_plane = 0.0;  // min over reps, like the wall
@@ -480,16 +435,16 @@ static int bench_main() {
     const int cal_users = std::max(200, total / 50);
     const int cal_voice = cal_users - cal_users / 5;
     const auto dense_probe = probe_memory(
-        memory_config(mem_cells, cal_voice, cal_users - cal_voice, 0.0),
+        memory_knobs(mem_cells, cal_voice, cal_users - cal_voice, 0.0),
         protocol);
     // Compact before mt: probing the smaller world first bounds the
     // allocator-reuse understatement for both sparse probes.
     const auto compact_probe = probe_memory(
-        memory_config(mem_cells, mem_voice, mem_data, band_radius_m,
-                      common::RngKind::kCompact),
+        memory_knobs(mem_cells, mem_voice, mem_data, band_radius_m,
+                      "compact"),
         protocol);
     const auto sparse_probe = probe_memory(
-        memory_config(mem_cells, mem_voice, mem_data, band_radius_m),
+        memory_knobs(mem_cells, mem_voice, mem_data, band_radius_m),
         protocol);
     const double dense_bpu =
         static_cast<double>(dense_probe.rss_bytes) / dense_probe.users;

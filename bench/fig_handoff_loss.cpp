@@ -25,17 +25,18 @@ static int bench_main() {
   const auto spec = bench::standard_spec(/*default_reps=*/1);
   const double speeds_kmh[] = {3.0, 30.0, 60.0, 120.0};
 
-  mac::CellularConfig base;
-  base.num_cells = cells;
-  base.params.num_voice_users = voice_users;
-  base.params.num_data_users = 5;
-  base.params.channel.shadow_sigma_db = 6.0;
-  // Link budget at the 200 m path-loss reference; a mid-cell user (~400 m)
-  // then sees roughly the single-cell figures' 16 dB operating point.
-  base.params.channel.mean_snr_db = 26.0;
-  base.handoff_hysteresis_db = 4.0;
-  base.mobility.field_width_m = 1000.0 * cells;
-  base.mobility.field_height_m = 1000.0;
+  // The line world (1000 m per cell) at speed `kmh`, which sets both the
+  // mobility and the Doppler. The link budget is the world default, 26 dB
+  // at the 200 m path-loss reference: a mid-cell user (~400 m) then sees
+  // roughly the single-cell figures' 16 dB operating point.
+  const auto world_at = [&](double kmh) {
+    return experiment::parse_knobs(
+               {bench::knob("cells", cells),
+                bench::knob("voice_users", voice_users), "data_users=5",
+                "shadow_sigma_db=6", bench::knob("kmh", kmh)})
+        .world;
+  };
+  const auto base = world_at(speeds_kmh[0]);
 
   std::cout << cells << " cells, " << voice_users << " voice + "
             << base.params.num_data_users << " data users, hysteresis "
@@ -56,10 +57,7 @@ static int bench_main() {
     std::vector<std::string> loss_row{common::TextTable::num(kmh, 0)};
     std::vector<std::string> rate_row{common::TextTable::num(kmh, 0)};
     for (auto id : protocols::all_protocols()) {
-      auto cfg = base;
-      cfg.mobility.speed_mps = common::km_per_hour(kmh);
-      cfg.params.channel.doppler_hz = channel::ChannelConfig::doppler_for_speed(
-          cfg.mobility.speed_mps, 2.0e9);
+      const auto cfg = world_at(kmh);
       mac::CellularWorld world(cfg, [id](const mac::ScenarioParams& p) {
         return protocols::make_protocol(id, p);
       });

@@ -59,27 +59,15 @@ static int bench_main() {
                   << " (not a rhombic number)\n";
         continue;
       }
-      mac::CellularConfig base;
-      base.num_cells = cells;
-      base.params.num_voice_users = voice_users;
-      base.params.num_data_users = 5;
-      base.params.channel.shadow_sigma_db = 6.0;
-      // Link budget at the 200 m path-loss reference (see
-      // fig_handoff_loss.cpp for the calibration note).
-      base.params.channel.mean_snr_db = 26.0;
-      base.handoff_hysteresis_db = 4.0;
-      base.layout.kind = mac::SiteLayoutConfig::Kind::kHex;
-      base.layout.site_spacing_m = 1000.0;
-      base.layout.reuse_factor = reuse;
-      base.interference_activity = activity;
-      const auto [width, height] =
-          mac::SiteLayout::hex_field_extent(cells, 1000.0);
-      base.mobility.field_width_m = width;
-      base.mobility.field_height_m = height;
-      base.mobility.speed_mps = common::km_per_hour(50.0);
-      base.params.channel.doppler_hz =
-          channel::ChannelConfig::doppler_for_speed(base.mobility.speed_mps,
-                                                    2.0e9);
+      // Link budget 26 dB at the 200 m path-loss reference (the world
+      // default), 1000 m site spacing, users at 50 km/h.
+      const auto base =
+          experiment::parse_knobs(
+              {"layout=hex", bench::knob("cells", cells),
+               bench::knob("reuse", reuse),
+               bench::knob("voice_users", voice_users), "data_users=5",
+               "shadow_sigma_db=6", bench::knob("interference", activity)})
+              .world;
 
       double mean_interf = 0.0;
       std::vector<std::string> loss_row{std::to_string(cells),

@@ -27,6 +27,7 @@
 #include "core/charisma.hpp"
 #include "core/fairness.hpp"
 #include "core/priority.hpp"
+#include "experiment/knobs.hpp"
 #include "experiment/parallel.hpp"
 #include "experiment/report.hpp"
 #include "experiment/runner.hpp"

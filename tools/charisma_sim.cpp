@@ -9,18 +9,15 @@
 //   charisma_sim protocol=charisma fairness=1 csi_refresh=0 doppler_hz=160
 //   charisma_sim protocol=all cells=3 kmh=90 handoff_hysteresis_db=4
 //
-// Every scenario knob is a key=value argument; run with `help=1` for the
-// full list. `cells=2` (or more) switches to the mobility-driven multi-cell
-// world: users move, path loss tracks their position, and the
-// strongest-pilot-with-hysteresis policy hands them off between per-cell
-// protocol engines.
-#include <algorithm>
-#include <cmath>
+// Every scenario knob is a key=value argument parsed by
+// experiment::parse_knobs; this front end adds only help=, csv=, verify=,
+// sweep= and x=. Run with `help=1` for the full list. `cells=2` (or more)
+// switches to the mobility-driven multi-cell world: users move, path loss
+// tracks their position, and the strongest-pilot-with-hysteresis policy
+// hands them off between per-cell protocol engines.
 #include <iostream>
-#include <limits>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "charisma.hpp"
@@ -157,332 +154,14 @@ std::vector<int> parse_int_list(const std::string& key,
   return values;
 }
 
-// Splits "a:b:c" into doubles; throws naming the knob on malformed input.
-std::vector<double> parse_colon_list(const std::string& key,
-                                     const std::string& value) {
-  std::vector<double> fields;
-  std::stringstream stream(value);
-  std::string token;
-  while (std::getline(stream, token, ':')) {
-    try {
-      std::size_t pos = 0;
-      fields.push_back(std::stod(token, &pos));
-      if (pos != token.size()) throw std::invalid_argument("trailing");
-    } catch (const std::exception&) {
-      throw std::invalid_argument(key + "=: bad field '" + token + "' in '" +
-                                  value + "'");
-    }
-  }
-  return fields;
-}
-
-// Every key charisma_sim understands; anything else is rejected up front
-// so typos fail loudly instead of silently taking the default.
-const std::vector<std::string> kKnownKeys = {
-    "help", "protocol", "voice_users", "data_users", "queue", "seed",
-    "warmup", "measure", "replications", "sweep", "x", "mean_snr_db",
-    "shadow_sigma_db", "doppler_hz", "kmh", "diversity", "fixed_ref_db",
-    "target_ber", "csi_noise_db", "csi_validity_frames", "ack_loss",
-    "tx_power_w", "channel", "traffic_rng", "cells", "threads", "shards",
-    "handoff_hysteresis_db", "mobility",
-    "cell_radius_m", "layout", "reuse", "wrap", "band", "interference",
-    "verify",
-    "request_slots", "info_slots", "pilot_slots", "talkspurt_s", "silence_s",
-    "burst_packets", "interarrival_s", "pv", "pd", "overload", "mmpp_ratio",
-    "mmpp_sojourn_s", "barring", "outage", "flash", "diurnal", "fairness",
-    "csi_refresh", "poll_budget", "alpha_voice", "alpha_data", "gamma_voice",
-    "gamma_data", "voice_offset", "csv"};
-
-mac::ScenarioParams scenario_from(const common::KeyValueConfig& config) {
-  mac::ScenarioParams params;
-  const auto count_knob = [&config](const char* key, long long fallback) {
-    const long long n = config.get_count_or(key, fallback);
-    if (n < 0 || n > std::numeric_limits<int>::max()) {
-      throw std::invalid_argument(std::string(key) + "= is out of range");
-    }
-    return static_cast<int>(n);
-  };
-  params.num_voice_users = count_knob("voice_users", 80);
-  params.num_data_users = count_knob("data_users", 0);
-  params.request_queue = config.get_bool_or("queue", true);
-  params.seed = static_cast<std::uint64_t>(config.get_int_or("seed", 1));
-
-  params.channel.mean_snr_db =
-      config.get_double_or("mean_snr_db", params.channel.mean_snr_db);
-  params.channel.shadow_sigma_db =
-      config.get_double_or("shadow_sigma_db", params.channel.shadow_sigma_db);
-  if (params.channel.shadow_sigma_db < 0.0) {
-    throw std::invalid_argument("shadow_sigma_db= must be >= 0");
-  }
-  if (config.contains("kmh")) {
-    const double kmh = config.get_double_or("kmh", 50.0);
-    if (kmh < 0.0) throw std::invalid_argument("kmh= must be >= 0");
-    // Floored like cellular_from's default: a parked population still
-    // fades a little.
-    params.channel.doppler_hz =
-        std::max(1.0, channel::ChannelConfig::doppler_for_speed(
-                          common::km_per_hour(kmh), 2.0e9));
-  }
-  params.channel.doppler_hz =
-      config.get_double_or("doppler_hz", params.channel.doppler_hz);
-  if (params.channel.doppler_hz <= 0.0) {
-    throw std::invalid_argument("doppler_hz= must be > 0");
-  }
-  params.channel.diversity_branches =
-      config.get_int_or("diversity", params.channel.diversity_branches);
-  if (params.channel.diversity_branches < 1) {
-    throw std::invalid_argument("diversity= must be >= 1");
-  }
-
-  params.fixed_phy_reference_db =
-      config.get_double_or("fixed_ref_db", params.fixed_phy_reference_db);
-  params.phy.target_ber =
-      config.get_double_or("target_ber", params.phy.target_ber);
-  params.csi_error_sigma_db =
-      config.get_double_or("csi_noise_db", params.csi_error_sigma_db);
-  params.csi_validity_frames =
-      config.get_int_or("csi_validity_frames", params.csi_validity_frames);
-  params.ack_loss_prob = config.get_double_or("ack_loss", 0.0);
-  params.energy.tx_power_w =
-      config.get_double_or("tx_power_w", params.energy.tx_power_w);
-
-  params.geometry.num_request_slots =
-      config.get_int_or("request_slots", params.geometry.num_request_slots);
-  params.geometry.num_info_slots =
-      config.get_int_or("info_slots", params.geometry.num_info_slots);
-  params.geometry.num_pilot_slots =
-      config.get_int_or("pilot_slots", params.geometry.num_pilot_slots);
-  if (params.geometry.num_request_slots < 1) {
-    throw std::invalid_argument("request_slots= must be >= 1");
-  }
-  if (params.geometry.num_info_slots < 1) {
-    throw std::invalid_argument("info_slots= must be >= 1");
-  }
-  if (params.geometry.num_pilot_slots < 0) {
-    throw std::invalid_argument("pilot_slots= must be >= 0");
-  }
-
-  params.mean_talkspurt_s =
-      config.get_double_or("talkspurt_s", params.mean_talkspurt_s);
-  params.mean_silence_s =
-      config.get_double_or("silence_s", params.mean_silence_s);
-  params.mean_burst_packets =
-      config.get_double_or("burst_packets", params.mean_burst_packets);
-  params.mean_data_interarrival_s =
-      config.get_double_or("interarrival_s", params.mean_data_interarrival_s);
-  params.voice_permission_prob =
-      config.get_double_or("pv", params.voice_permission_prob);
-  params.data_permission_prob =
-      config.get_double_or("pd", params.data_permission_prob);
-  for (const auto& [knob, p] : {std::pair{"pv", params.voice_permission_prob},
-                                std::pair{"pd", params.data_permission_prob}}) {
-    if (!(p > 0.0 && p <= 1.0)) {
-      throw std::invalid_argument(std::string(knob) + "= must be in (0, 1]");
-    }
-  }
-
-  const double overload = config.get_double_or("overload", 1.0);
-  if (overload <= 0.0) {
-    throw std::invalid_argument("overload= must be > 0");
-  }
-  params.num_voice_users = static_cast<int>(
-      std::lround(params.num_voice_users * overload));
-  params.num_data_users = static_cast<int>(
-      std::lround(params.num_data_users * overload));
-
-  params.data_mmpp_rate_ratio =
-      config.get_double_or("mmpp_ratio", params.data_mmpp_rate_ratio);
-  params.data_mmpp_mean_sojourn_s =
-      config.get_double_or("mmpp_sojourn_s", params.data_mmpp_mean_sojourn_s);
-  params.barring.enabled = config.get_bool_or("barring", false);
-
-  const std::string chan = config.get_string_or("channel", "eager");
-  if (chan != "eager" && chan != "lazy") {
-    throw std::invalid_argument("channel= must be eager or lazy");
-  }
-  params.lazy_channel = chan == "lazy";
-
-  const std::string rng = config.get_string_or("traffic_rng", "mt");
-  if (rng != "mt" && rng != "compact") {
-    throw std::invalid_argument("traffic_rng= must be mt or compact");
-  }
-  params.traffic_rng =
-      rng == "compact" ? common::RngKind::kCompact : common::RngKind::kMt;
-  return params;
-}
-
-core::CharismaOptions charisma_options_from(
-    const common::KeyValueConfig& config) {
-  core::CharismaOptions options;
-  options.fairness = config.get_bool_or("fairness", false)
-                         ? core::FairnessMode::kCapacityNormalized
-                         : core::FairnessMode::kNone;
-  options.enable_csi_refresh = config.get_bool_or("csi_refresh", true);
-  options.csi_poll_budget = config.get_int_or("poll_budget", -1);
-  if (options.csi_poll_budget < -1) {
-    throw std::invalid_argument(
-        "poll_budget= must be >= 0 (-1 = use the geometry)");
-  }
-  options.priority.alpha_voice =
-      config.get_double_or("alpha_voice", options.priority.alpha_voice);
-  options.priority.alpha_data =
-      config.get_double_or("alpha_data", options.priority.alpha_data);
-  options.priority.gamma_voice =
-      config.get_double_or("gamma_voice", options.priority.gamma_voice);
-  options.priority.gamma_data =
-      config.get_double_or("gamma_data", options.priority.gamma_data);
-  options.priority.voice_offset =
-      config.get_double_or("voice_offset", options.priority.voice_offset);
-  return options;
-}
-
-mac::CellularConfig cellular_from(const common::KeyValueConfig& config,
-                                  const mac::ScenarioParams& params) {
-  mac::CellularConfig world;
-  world.num_cells = config.get_int_or("cells", 1);
-  const int threads = config.get_int_or("threads", 1);
-  if (threads < 0) {
-    throw std::invalid_argument("threads= must be >= 0 (0 = hardware)");
-  }
-  world.num_threads = static_cast<unsigned>(threads);
-  const int shards = config.get_int_or("shards", 0);
-  if (shards < 0) {
-    throw std::invalid_argument("shards= must be >= 0 (0 = match threads)");
-  }
-  world.num_shards = static_cast<unsigned>(shards);
-  world.params = params;
-  if (!config.contains("mean_snr_db")) {
-    // The single-cell default (16 dB) is the SNR of the *whole* cell; in
-    // the path-loss world it is the budget at the 200 m reference, which
-    // would starve every cell-edge user. 26 dB at the reference puts a
-    // mid-cell user (~400 m) at the familiar 16 dB operating point.
-    world.params.channel.mean_snr_db = 26.0;
-  }
-  world.handoff_hysteresis_db = config.get_double_or(
-      "handoff_hysteresis_db", world.handoff_hysteresis_db);
-  if (!(world.handoff_hysteresis_db >= 0.0)) {
-    throw std::invalid_argument("handoff_hysteresis_db= must be >= 0");
-  }
-  const double kmh = config.get_double_or("kmh", 50.0);
-  world.mobility.speed_mps = common::km_per_hour(kmh);
-  if (!config.contains("kmh") && !config.contains("doppler_hz")) {
-    // scenario_from only derives the Doppler from kmh when the knob is
-    // given; keep the default-speed world consistent with an explicit
-    // kmh=50 (clamped: a parked population still fades a little).
-    world.params.channel.doppler_hz =
-        std::max(1.0, channel::ChannelConfig::doppler_for_speed(
-                          world.mobility.speed_mps, 2.0e9));
-  }
-  const std::string mobility = config.get_string_or("mobility", "waypoint");
-  if (mobility != "waypoint" && mobility != "vector") {
-    throw std::invalid_argument("mobility= must be waypoint or vector");
-  }
-  world.mobility.model = mobility == "vector"
-                             ? mac::MobilityConfig::Model::kConstantVelocity
-                             : mac::MobilityConfig::Model::kRandomWaypoint;
-
-  const std::string layout = config.get_string_or("layout", "line");
-  if (layout != "line" && layout != "hex") {
-    throw std::invalid_argument("layout= must be line or hex");
-  }
-  const bool hex = layout == "hex";
-  world.layout.kind = hex ? mac::SiteLayoutConfig::Kind::kHex
-                          : mac::SiteLayoutConfig::Kind::kLine;
-  world.layout.reuse_factor = config.get_int_or("reuse", 1);
-  world.layout.wrap_around = config.get_bool_or("wrap", false);
-  world.pilot_band_radius_m = config.get_double_or("band", 0.0);
-  if (world.pilot_band_radius_m < 0.0) {
-    throw std::invalid_argument("band= must be >= 0 (0 = every cell)");
-  }
-  // Hex cells carry co-channel interference by default; the line world
-  // keeps its historical interference-free behaviour unless asked.
-  world.interference_activity =
-      config.get_double_or("interference", hex ? 0.4 : 0.0);
-  if (!(world.interference_activity >= 0.0 &&
-        world.interference_activity <= 1.0)) {
-    throw std::invalid_argument("interference= must be in [0, 1]");
-  }
-
-  if (auto spec = config.get_string("outage")) {
-    std::stringstream stream(*spec);
-    std::string window;
-    while (std::getline(stream, window, ',')) {
-      const auto f = parse_colon_list("outage", window);
-      if (f.size() != 3) {
-        throw std::invalid_argument(
-            "outage= expects cell:start:end windows, got '" + window + "'");
-      }
-      mac::CellOutageWindow w;
-      w.cell = static_cast<int>(f[0]);
-      w.start = f[1];
-      w.end = f[2];
-      if (!w.valid(world.num_cells)) {
-        throw std::invalid_argument("outage= window '" + window +
-                                    "' is invalid for cells=" +
-                                    std::to_string(world.num_cells));
-      }
-      world.outages.push_back(w);
-    }
-  }
-  if (config.contains("flash") && config.contains("diurnal")) {
-    throw std::invalid_argument("flash= and diurnal= are mutually exclusive");
-  }
-  if (auto spec = config.get_string("flash")) {
-    const auto f = parse_colon_list("flash", *spec);
-    if (f.size() != 6) {
-      throw std::invalid_argument(
-          "flash= expects x:y:radius:multiplier:start:end");
-    }
-    world.modulation.kind = traffic::TrafficModulationConfig::Kind::kFlashCrowd;
-    world.modulation.epicenter_x_m = f[0];
-    world.modulation.epicenter_y_m = f[1];
-    world.modulation.radius_m = f[2];
-    world.modulation.rate_multiplier = f[3];
-    world.modulation.start = f[4];
-    world.modulation.end = f[5];
-  }
-  if (auto spec = config.get_string("diurnal")) {
-    const auto f = parse_colon_list("diurnal", *spec);
-    if (f.size() != 2 && f.size() != 3) {
-      throw std::invalid_argument(
-          "diurnal= expects amplitude:period_s[:wavelength_m]");
-    }
-    world.modulation.kind = traffic::TrafficModulationConfig::Kind::kDiurnal;
-    world.modulation.amplitude = f[0];
-    world.modulation.period_s = f[1];
-    if (f.size() == 3) world.modulation.wavelength_m = f[2];
-  }
-  // Per-field rejection naming the knob: "diurnal=: amplitude must be in
-  // [0, 1) ..." instead of a generic out-of-range message.
-  traffic::validate_or_throw(world.modulation,
-                             config.contains("flash") ? "flash" : "diurnal");
-
-  const double radius = config.get_double_or("cell_radius_m", 500.0);
-  if (hex) {
-    world.layout.site_spacing_m = 2.0 * radius;
-    const auto [width, height] = mac::SiteLayout::hex_field_extent(
-        world.num_cells, world.layout.site_spacing_m);
-    world.mobility.field_width_m = width;
-    world.mobility.field_height_m = height;
-  } else {
-    world.mobility.field_width_m =
-        2.0 * radius * static_cast<double>(std::max(world.num_cells, 1));
-    world.mobility.field_height_m = 2.0 * radius;
-  }
-  return world;
-}
-
-void run_cellular(const common::KeyValueConfig& config,
-                  const experiment::RunSpec& spec,
-                  const std::vector<protocols::ProtocolId>& protocol_list,
+void run_cellular(const experiment::Knobs& knobs, bool verify,
                   common::TextTable& table) {
-  const auto world_cfg = cellular_from(config, spec.params);
-  const bool verify = config.get_bool_or("verify", false);
-  for (auto id : protocol_list) {
+  const auto& spec = knobs.run;
+  for (auto id : knobs.protocols) {
     common::Accumulator loss, err, handoff_drop, tput, delay, handoff_hz,
         interference, stride;
     for (int rep = 0; rep < spec.replications; ++rep) {
-      auto cfg = world_cfg;
+      auto cfg = knobs.world;
       cfg.params.seed =
           experiment::replication_seed(spec.params.seed, /*point=*/0, rep);
       const auto factory = [&](const mac::ScenarioParams& p) {
@@ -530,12 +209,9 @@ void run_cellular(const common::KeyValueConfig& config,
   }
 }
 
-std::vector<protocols::ProtocolId> protocols_from(
-    const common::KeyValueConfig& config) {
-  const std::string name = config.get_string_or("protocol", "charisma");
-  if (name == "all") return protocols::all_protocols();
-  return {protocols::parse_protocol(name)};
-}
+const std::vector<std::string> kSingleCellHeader = {
+    "x", "protocol", "voice loss", "voice err", "data tput/frame",
+    "data delay (s)", "slot util", "chan stride"};
 
 void add_result_row(common::TextTable& table, const std::string& label,
                     const experiment::ReplicatedResult& result) {
@@ -566,73 +242,25 @@ int main(int argc, char** argv) {
   }
 
   try {
-    config.reject_unknown(kKnownKeys);
-    experiment::RunSpec spec;
-    spec.params = scenario_from(config);
-    spec.warmup_s = config.get_double_or("warmup", 4.0);
-    spec.measure_s = config.get_double_or("measure", 12.0);
-    if (!(spec.warmup_s >= 0.0)) {
-      throw std::invalid_argument("warmup= must be >= 0");
+    const auto knobs = experiment::parse_knobs(
+        config, {"help", "csv", "verify", "sweep", "x"});
+    const bool world = knobs.world.num_cells >= 2;
+    if (world && config.contains("sweep")) {
+      throw std::invalid_argument(
+          "sweep= is not supported with cells >= 2 yet; run one operating "
+          "point per invocation");
     }
-    if (!(spec.measure_s > 0.0)) {
-      throw std::invalid_argument("measure= must be > 0");
-    }
-    spec.replications = config.get_int_or("replications", 1);
-    if (spec.replications < 1) {
-      throw std::invalid_argument("replications= must be >= 1");
-    }
-    spec.charisma = charisma_options_from(config);
-    const auto protocol_list = protocols_from(config);
-
-    const int cells = config.get_int_or("cells", 1);
-    if (cells < 1) throw std::invalid_argument("cells= must be >= 1");
-    if (cells < 2) {
-      for (const char* knob : {"outage", "flash", "diurnal"}) {
-        if (config.contains(knob)) {
-          std::cerr << "error: " << knob
-                    << "= is a world-level scenario and needs cells >= 2\n";
-          return 1;
-        }
-      }
-      // One cell runs no world, so the world knobs (threads=, shards=,
-      // band=, layout=, interference=, handoff_hysteresis_db=, ...) change
-      // nothing here; a value no world could honour is still refused, by
-      // the same checks and with the same message as at cells >= 2.
-      cellular_from(config, spec.params);
-    }
-
-    if (cells >= 2) {
-      if (config.contains("sweep")) {
-        std::cerr << "error: sweep= is not supported with cells >= 2 yet; "
-                     "run one operating point per invocation\n";
-        return 1;
-      }
-      common::TextTable table("charisma_sim multi-cell mobility results");
+    common::TextTable table(world ? "charisma_sim multi-cell mobility results"
+                                  : "charisma_sim results");
+    if (world) {
       table.set_header({"protocol", "voice loss", "voice err",
                         "handoff drop", "handoffs/s", "data tput/frame",
                         "data delay (s)", "interf (dB)", "chan stride"});
-      run_cellular(config, spec, protocol_list, table);
-      table.print(std::cout);
-      if (config.contains("csv")) {
-        const std::string path = config.get_string_or("csv", "out.csv");
-        if (table.write_csv(path)) {
-          std::cout << "\nwrote " << path << '\n';
-        } else {
-          std::cerr << "could not write " << path << '\n';
-          return 1;
-        }
-      }
-      return 0;
-    }
-
-    common::TextTable table("charisma_sim results");
-    table.set_header({"x", "protocol", "voice loss", "voice err",
-                      "data tput/frame", "data delay (s)", "slot util",
-                      "chan stride"});
-
-    if (config.contains("sweep")) {
+      run_cellular(knobs, config.get_bool_or("verify", false), table);
+    } else if (config.contains("sweep")) {
+      table.set_header(kSingleCellHeader);
       experiment::SweepConfig sweep;
-      sweep.spec = spec;
+      sweep.spec = knobs.run;
       const std::string axis = config.get_string_or("sweep", "voice");
       if (axis != "voice" && axis != "data") {
         throw std::invalid_argument("sweep= must be voice or data");
@@ -641,15 +269,15 @@ int main(int argc, char** argv) {
                                   : experiment::SweepAxis::kVoiceUsers;
       sweep.x_values =
           parse_int_list("x", config.get_string_or("x", "20,60,100,140"));
-      sweep.protocols_to_run = protocol_list;
+      sweep.protocols_to_run = knobs.protocols;
       experiment::ParallelRunner runner;
       for (const auto& cell : experiment::run_sweep(sweep, runner)) {
         add_result_row(table, std::to_string(cell.x), cell.result);
       }
     } else {
-      for (auto id : protocol_list) {
-        const auto result = experiment::run_replications(id, spec);
-        add_result_row(table, "-", result);
+      table.set_header(kSingleCellHeader);
+      for (auto id : knobs.protocols) {
+        add_result_row(table, "-", experiment::run_replications(id, knobs.run));
       }
     }
 

@@ -56,6 +56,26 @@ expect_reject threads threads=-3
 expect_reject band band=-5
 expect_reject shards shards=-2
 expect_reject layout layout=bogus
+# Scenario values no engine could run are refused by name when parsed,
+# not by the engine or the world later on.
+expect_reject talkspurt_s talkspurt_s=0
+expect_reject silence_s silence_s=-1
+expect_reject interarrival_s interarrival_s=0
+expect_reject burst_packets burst_packets=0.5
+expect_reject mmpp_ratio mmpp_ratio=0.5
+expect_reject mmpp_sojourn_s mmpp_sojourn_s=-1
+expect_reject ack_loss cells=3 ack_loss=1
+expect_reject tx_power_w tx_power_w=-1
+expect_reject csi_validity_frames csi_validity_frames=0
+expect_reject csi_noise_db csi_noise_db=-1
+expect_reject target_ber target_ber=0.6
+expect_reject cell_radius_m cell_radius_m=0
+expect_reject reuse reuse=0
+# Layout combinations no site map can build, refused naming both knobs.
+expect_reject wrap wrap=1 layout=line
+expect_reject wrap cells=3 layout=hex wrap=1
+expect_reject reuse layout=hex reuse=2
+expect_reject wrap cells=7 layout=hex reuse=3 wrap=1
 
 # expect_accept ARGS...: the run must exit 0.
 expect_accept() {
