@@ -49,6 +49,9 @@
 // It records current RSS after construction and at 1.25x and 5x the
 // MEASURE knob simulated (10 s and 40 s at the default), plus the
 // hand-offs so far: memory that grows under mobility shows only there.
+// Over the whole horizon it also records the band re-queries per epoch
+// (users whose band anchor no longer proved their band unchanged) and
+// the sharded world plane's milliseconds per epoch.
 // It runs first, before any other stage has freed memory the world could
 // reuse.
 #include <algorithm>
@@ -147,6 +150,8 @@ struct HorizonProbe {
   long long rss_short_bytes = 0;
   long long rss_long_bytes = 0;
   std::int64_t handoffs = 0;
+  double band_queries_per_epoch = 0.0;
+  double shard_plane_ms_per_epoch = 0.0;
 };
 
 HorizonProbe probe_horizon(double short_s, double long_s) {
@@ -166,6 +171,12 @@ HorizonProbe probe_horizon(double short_s, double long_s) {
   world.advance(long_s - short_s);
   probe.rss_long_bytes = bench::current_rss_bytes();
   probe.handoffs = world.handoffs();
+  const auto& timings = world.epoch_timings();
+  const double epochs =
+      static_cast<double>(std::max<std::uint64_t>(1, timings.epochs));
+  probe.band_queries_per_epoch =
+      static_cast<double>(world.band_queries()) / epochs;
+  probe.shard_plane_ms_per_epoch = timings.shard_plane_s * 1e3 / epochs;
   return probe;
 }
 
@@ -217,7 +228,11 @@ static int bench_main() {
             << " MiB after construction, " << mib(horizon.rss_short_bytes)
             << " MiB at " << horizon.short_s << " s, "
             << mib(horizon.rss_long_bytes) << " MiB at " << horizon.long_s
-            << " s simulated; " << horizon.handoffs << " hand-offs\n\n";
+            << " s simulated; " << horizon.handoffs << " hand-offs; "
+            << common::TextTable::num(horizon.band_queries_per_epoch, 1)
+            << " band re-queries and "
+            << common::TextTable::num(horizon.shard_plane_ms_per_epoch, 3)
+            << " ms of sharded world plane per epoch\n\n";
 
   std::cout << "population: " << voice << " voice + " << data
             << " data users, measure " << measure_s
@@ -503,7 +518,10 @@ static int bench_main() {
          << ", \"rss_short_bytes\": " << horizon.rss_short_bytes
          << ", \"long_s\": " << horizon.long_s
          << ", \"rss_long_bytes\": " << horizon.rss_long_bytes
-         << ", \"handoffs\": " << horizon.handoffs << "}"
+         << ", \"handoffs\": " << horizon.handoffs
+         << ", \"band_queries_per_epoch\": " << horizon.band_queries_per_epoch
+         << ", \"shard_plane_ms_per_epoch\": "
+         << horizon.shard_plane_ms_per_epoch << "}"
          << ",\n      \"all_thread_counts_bit_identical_to_serial\": "
          << (all_deterministic ? "true" : "false")
          << ",\n      \"best_speedup_cells4plus_threads4plus\": "

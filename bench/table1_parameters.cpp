@@ -1,6 +1,6 @@
 // Table 1 — simulation parameters. Echoes the scenario the other benches
 // run, with the derived quantities (symbol rate, activity factor, mode
-// thresholds) that the calibration in DESIGN.md fixes.
+// thresholds) the calibration fixes.
 #include <iostream>
 
 #include "bench_support.hpp"

@@ -11,29 +11,26 @@
 #include <string>
 #include <vector>
 
+#include "bench_support.hpp"
 #include "charisma.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace charisma;
+  auto config = common::KeyValueConfig::from_args(
+      std::vector<std::string>(argv + 1, argv + argc));
+  config.reject_unknown({"voice_users", "queue", "fairness", "seed", "warmup",
+                         "measure"});
+  // This example's defaults, where they differ from the simulator's.
+  if (!config.contains("voice_users")) config.set("voice_users", "90");
+  if (!config.contains("measure")) config.set("measure", "10");
+  const auto knobs = experiment::parse_knobs(config);
 
-  common::KeyValueConfig config;
-  try {
-    config = common::KeyValueConfig::from_args(
-        std::vector<std::string>(argv + 1, argv + argc));
-    config.reject_unknown({"voice_users", "queue", "fairness", "seed", "warmup",
-                           "measure"});
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << "\nusage: integrated_services [key=value ...]\n";
-    return 1;
-  }
-
-  const int voice_users = config.get_int_or("voice_users", 90);
-  const bool queue = config.get_bool_or("queue", true);
-  const bool fairness = config.get_bool_or("fairness", false);
-
-  core::CharismaOptions options;
-  options.fairness = fairness ? core::FairnessMode::kCapacityNormalized
-                              : core::FairnessMode::kNone;
+  const int voice_users = knobs.run.params.num_voice_users;
+  const bool queue = knobs.run.params.request_queue;
+  const bool fairness =
+      knobs.run.charisma.fairness != core::FairnessMode::kNone;
 
   std::cout << "CHARISMA cell: " << voice_users
             << " voice users, growing file-transfer load, request queue "
@@ -44,14 +41,10 @@ int main(int argc, char** argv) {
   table.set_header({"data users", "voice loss", "data tput/frame",
                     "data delay (s)", "slot util", "csi polls/frame"});
   for (int data_users : {0, 10, 20, 40, 60}) {
-    mac::ScenarioParams params;
-    params.num_voice_users = voice_users;
+    mac::ScenarioParams params = knobs.run.params;
     params.num_data_users = data_users;
-    params.request_queue = queue;
-    params.seed = static_cast<std::uint64_t>(config.get_int_or("seed", 1));
-    core::CharismaProtocol proto(params, options);
-    const auto& m = proto.run(config.get_double_or("warmup", 4.0),
-                              config.get_double_or("measure", 10.0));
+    core::CharismaProtocol proto(params, knobs.run.charisma);
+    const auto& m = proto.run(knobs.run.warmup_s, knobs.run.measure_s);
     table.add_row({std::to_string(data_users),
                    common::TextTable::sci(m.voice_loss_rate(), 2),
                    common::TextTable::num(m.data_throughput_per_frame(), 2),
@@ -69,4 +62,11 @@ int main(int argc, char** argv) {
                "priority offset V plus deadline urgency), while data rides\n"
                "the leftover capacity at CSI-selected high modes.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A bad value is refused naming its knob: error: ..., exit status 1.
+  return charisma::bench::guarded_main([&] { return run(argc, argv); });
 }

@@ -7,41 +7,36 @@
 //                             [data_users=0] [queue=1] [warmup=4]
 //                             [measure=10] [replications=2]
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "bench_support.hpp"
 #include "charisma.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace charisma;
-
-  common::KeyValueConfig config;
-  try {
-    config = common::KeyValueConfig::from_args(
-        std::vector<std::string>(argv + 1, argv + argc));
-    config.reject_unknown({"protocol", "threshold", "data_users", "queue",
-                           "warmup", "measure", "replications"});
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << "\nusage: voice_capacity_planning [key=value ...]\n";
-    return 1;
+  auto config = common::KeyValueConfig::from_args(
+      std::vector<std::string>(argv + 1, argv + argc));
+  config.reject_unknown({"protocol", "threshold", "data_users", "queue",
+                         "warmup", "measure", "replications"});
+  // This example's defaults, where they differ from the simulator's.
+  if (!config.contains("measure")) config.set("measure", "10");
+  if (!config.contains("replications")) config.set("replications", "2");
+  const auto knobs = experiment::parse_knobs(config, {"threshold"});
+  if (knobs.protocols.size() != 1) {
+    throw std::invalid_argument("protocol= must name one protocol");
   }
-
-  protocols::ProtocolId protocol;
-  try {
-    protocol = protocols::parse_protocol(
-        config.get_string_or("protocol", "charisma"));
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << '\n';
-    return 1;
-  }
+  const protocols::ProtocolId protocol = knobs.protocols.front();
   const double threshold = config.get_double_or("threshold", 0.01);
+  if (!(threshold > 0.0 && threshold < 1.0)) {
+    throw std::invalid_argument("threshold= must be in (0, 1)");
+  }
 
   experiment::SweepConfig sweep;
-  sweep.spec.params.num_data_users = config.get_int_or("data_users", 0);
-  sweep.spec.params.request_queue = config.get_bool_or("queue", true);
-  sweep.spec.warmup_s = config.get_double_or("warmup", 4.0);
-  sweep.spec.measure_s = config.get_double_or("measure", 10.0);
-  sweep.spec.replications = config.get_int_or("replications", 2);
+  sweep.spec = knobs.run;
   sweep.axis = experiment::SweepAxis::kVoiceUsers;
   sweep.x_values = {20, 50, 80, 100, 120, 140, 160, 180};
   sweep.protocols_to_run = {protocol};
@@ -78,4 +73,11 @@ int main(int argc, char** argv) {
     std::cout << "below the smallest swept population\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A bad value is refused naming its knob: error: ..., exit status 1.
+  return charisma::bench::guarded_main([&] { return run(argc, argv); });
 }

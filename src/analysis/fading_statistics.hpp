@@ -1,7 +1,6 @@
 // Closed-form statistics of the calibrated channel model: outage/mode
 // probabilities and the mean adaptive throughput under Nakagami-L fast
-// fading with log-normal shadowing. These are the quantities DESIGN.md's
-// calibration is derived from; tests use them to pin the simulator's
+// fading with log-normal shadowing. Tests use them to pin the simulator's
 // empirical behaviour to theory.
 #pragma once
 

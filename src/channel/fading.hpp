@@ -45,8 +45,9 @@ class JakesFadingGenerator {
 
 /// Per-step correlation coefficient for a grid interval dt under coherence
 /// time Tc = 1/doppler: rho = exp(-dt * doppler). (An exponential
-/// correlation model; see DESIGN.md for why this is preferred over the
-/// oscillatory J0 form for the MAC-level simulation.)
+/// correlation model rather than the oscillatory Jakes J0 form: its lag-k
+/// correlation rho^k is what an AR(1) recursion realizes exactly, so k-step
+/// jumps compose in closed form.)
 double ar_rho_for(common::Hertz doppler, common::Time dt);
 
 }  // namespace charisma::channel

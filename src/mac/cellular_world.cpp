@@ -123,6 +123,7 @@ CellularWorld::CellularWorld(const CellularConfig& config,
   site_index_.rebuild(layout_, config_.pilot_band_radius_m);
   attached_.assign(users, 0);
   band_.assign(users, {});
+  if (!site_index_.all_cells()) anchors_.assign(users, BandAnchor{});
   shard_arenas_.resize(num_shards_);
   link_chunks_.resize(kLinkChunks);
   for (LinkChunk& chunk : link_chunks_) {
@@ -178,63 +179,111 @@ void CellularWorld::for_each_user_shard(
 
 void CellularWorld::advance_mobility(common::Time t) {
   // Phase A (sharded): walk every trajectory draw-free, suspending
-  // random-waypoint arrivals with their exact walk state.
+  // random-waypoint arrivals with their exact walk state, and check the
+  // band of every user whose walk completed — its position is final.
+  // [this, t] fills std::function's inline buffer: a third capture would
+  // heap-allocate the callable every epoch (FrameAlloc pins this).
   for_each_user_shard([this, t](std::size_t s, std::size_t begin,
                                 std::size_t end) {
     auto& arena = shard_arenas_[s];
     arena.suspended.clear();
+    arena.bands.clear();
+    arena.resumed_bands.clear();
+    arena.band_queries = 0;
     mobility_.advance_span(t, static_cast<int>(begin), static_cast<int>(end),
                            arena.suspended);
+    if (anchors_.empty()) return;
+    // Suspended users are ascending within the shard; their checks wait
+    // for phase B.
+    auto next = arena.suspended.cbegin();
+    for (std::size_t u = begin; u < end; ++u) {
+      if (next != arena.suspended.cend() &&
+          static_cast<std::size_t>(next->user) == u) {
+        ++next;
+        continue;
+      }
+      check_user_band(u, arena, arena.bands);
+    }
   });
   // Phase B (coordinator): finish the suspended walks in ascending user
   // order — shards cover ascending contiguous ranges, so arena order is
   // user order — consuming the shared stream exactly as serial advance_to
-  // would.
+  // would, then check the resumed users' bands.
   for (auto& arena : shard_arenas_) {
     mobility_.resume(arena.suspended);
+    if (anchors_.empty()) continue;
+    for (const auto& walk : arena.suspended) {
+      check_user_band(static_cast<std::size_t>(walk.user), arena,
+                      arena.resumed_bands);
+    }
+    band_queries_ += arena.band_queries;
   }
   mobility_.commit(t);
 }
 
-void CellularWorld::propose_bands(bool include_attached) {
-  for_each_user_shard([this, include_attached](std::size_t s,
-                                               std::size_t begin,
-                                               std::size_t end) {
-    auto& arena = shard_arenas_[s];
-    arena.band_users.clear();
-    arena.band_cells.clear();
-    arena.band_offsets.clear();
-    arena.band_offsets.push_back(0);
-    for (std::size_t u = begin; u < end; ++u) {
-      const std::size_t tail = arena.band_cells.size();
-      site_index_.cells_near(mobility_.position(static_cast<int>(u)),
-                             arena.band_cells, arena.mark_scratch);
-      const auto offset = static_cast<std::ptrdiff_t>(tail);
-      if (include_attached) {
-        // The attached cell is pinned into the band whatever the geometry
-        // says: presence must never be released out from under the user.
-        const int a = attached_[u];
-        const auto it = std::lower_bound(arena.band_cells.begin() + offset,
-                                         arena.band_cells.end(), a);
-        if (it == arena.band_cells.end() || *it != a) {
-          arena.band_cells.insert(it, a);
-        }
-      }
-      // Only a changed band is proposed: an unchanged one would diff to
-      // no admit, no release and the same entries. band_[u] is written
-      // only by the coordinator's apply, after this round's barrier.
-      const auto& band = band_[u];
-      if (std::equal(arena.band_cells.begin() + offset,
-                     arena.band_cells.end(), band.begin(), band.end(),
-                     [](int c, const BandPilot& e) { return c == e.cell; })) {
-        arena.band_cells.resize(tail);
-        continue;
-      }
-      arena.band_users.push_back(static_cast<std::uint32_t>(u));
-      arena.band_offsets.push_back(
-          static_cast<std::uint32_t>(arena.band_cells.size()));
-    }
-  });
+double CellularWorld::query_band(std::size_t u, bool include_attached,
+                                 std::vector<int>& cells,
+                                 std::vector<char>& mark) const {
+  const std::size_t tail = cells.size();
+  const double slack = site_index_.cells_near(
+      mobility_.position(static_cast<int>(u)), cells, mark);
+  if (include_attached) {
+    // The attached cell is pinned into the band whatever the geometry
+    // says: presence must never be released out from under the user.
+    const int a = attached_[u];
+    const auto it = std::lower_bound(
+        cells.begin() + static_cast<std::ptrdiff_t>(tail), cells.end(), a);
+    if (it == cells.end() || *it != a) cells.insert(it, a);
+  }
+  return slack;
+}
+
+void CellularWorld::propose_user_band(std::size_t u, bool include_attached,
+                                      BandProposals& out,
+                                      std::vector<char>& mark) {
+  const std::size_t tail = out.cells.size();
+  const double slack = query_band(u, include_attached, out.cells, mark);
+  if (!anchors_.empty()) {
+    anchors_[u] = BandAnchor{mobility_.position(static_cast<int>(u)),
+                             slack * slack,
+                             include_attached ? attached_[u] : -1};
+  }
+  // Only a changed band is proposed: an unchanged one would diff to no
+  // admit, no release and the same entries. band_[u] is written only by
+  // the coordinator's merge, after this round's barrier.
+  const auto& band = band_[u];
+  if (std::equal(out.cells.begin() + static_cast<std::ptrdiff_t>(tail),
+                 out.cells.end(), band.begin(), band.end(),
+                 [](int c, const BandPilot& e) { return c == e.cell; })) {
+    out.cells.resize(tail);
+    return;
+  }
+  out.users.push_back(static_cast<std::uint32_t>(u));
+  out.offsets.push_back(static_cast<std::uint32_t>(out.cells.size()));
+}
+
+void CellularWorld::check_user_band(std::size_t u, ShardArena& arena,
+                                    BandProposals& out) {
+  const BandAnchor& anchor = anchors_[u];
+  const Vec2 pos = mobility_.position(static_cast<int>(u));
+  const double dx = pos.x - anchor.pos.x;
+  const double dy = pos.y - anchor.pos.y;
+  if (attached_[u] == anchor.cell && dx * dx + dy * dy < anchor.slack_sq) {
+#ifndef NDEBUG
+    // The anchor's claim, checked: a full query returns the band held.
+    arena.check_scratch.clear();
+    query_band(u, /*include_attached=*/true, arena.check_scratch,
+               arena.mark_scratch);
+    const auto& band = band_[u];
+    assert(std::equal(arena.check_scratch.begin(), arena.check_scratch.end(),
+                      band.begin(), band.end(),
+                      [](int c, const BandPilot& e) { return c == e.cell; }) &&
+           "band anchor skipped a band that changed");
+#endif
+    return;
+  }
+  ++arena.band_queries;
+  propose_user_band(u, /*include_attached=*/true, out, arena.mark_scratch);
 }
 
 void CellularWorld::merge_band_proposals() {
@@ -242,16 +291,29 @@ void CellularWorld::merge_band_proposals() {
   // comes out in the same deterministic sequence regardless of shard or
   // thread count. Shards cover ascending contiguous ranges and list their
   // changed users ascending, so arena order is user order.
+  // Within a shard, the users checked in the shard task and the resumed
+  // walks checked after it are two ascending lists, merged here.
   for (auto& ops : band_ops_) ops.clear();
+  const auto apply = [this](const BandProposals& p, std::size_t k) {
+    const std::uint32_t lo = p.offsets[k];
+    const std::uint32_t hi = p.offsets[k + 1];
+    update_user_band(static_cast<int>(p.users[k]),
+                     {p.cells.data() + lo, hi - lo});
+  };
   const std::size_t shards =
       std::min<std::size_t>(num_shards_, attached_.size());
   for (std::size_t s = 0; s < shards; ++s) {
-    const auto& arena = shard_arenas_[s];
-    for (std::size_t k = 0; k < arena.band_users.size(); ++k) {
-      const std::uint32_t lo = arena.band_offsets[k];
-      const std::uint32_t hi = arena.band_offsets[k + 1];
-      update_user_band(static_cast<int>(arena.band_users[k]),
-                       {arena.band_cells.data() + lo, hi - lo});
+    const BandProposals& a = shard_arenas_[s].bands;
+    const BandProposals& b = shard_arenas_[s].resumed_bands;
+    std::size_t i = 0;
+    std::size_t j = 0;
+    while (i < a.users.size() || j < b.users.size()) {
+      if (j == b.users.size() ||
+          (i < a.users.size() && a.users[i] < b.users[j])) {
+        apply(a, i++);
+      } else {
+        apply(b, j++);
+      }
     }
   }
 }
@@ -298,7 +360,16 @@ void CellularWorld::replay_band_ops() {
 }
 
 void CellularWorld::admit_initial_bands() {
-  propose_bands(/*include_attached=*/false);
+  for_each_user_shard([this](std::size_t s, std::size_t begin,
+                             std::size_t end) {
+    auto& arena = shard_arenas_[s];
+    arena.bands.clear();
+    arena.resumed_bands.clear();
+    for (std::size_t u = begin; u < end; ++u) {
+      propose_user_band(u, /*include_attached=*/false, arena.bands,
+                        arena.mark_scratch);
+    }
+  });
   merge_band_proposals();
   // Every op is an admit, so each cell's final row count is its list's
   // length; capacities are rounded up to what one-by-one growth would have
@@ -498,6 +569,11 @@ void CellularWorld::initialize_attachments() {
     const int best_cell = band[best].cell;
     attached_[static_cast<std::size_t>(u)] = best_cell;
     ++attach_counts_[static_cast<std::size_t>(best_cell)];
+    // The band already holds the attached cell, so it is the query's
+    // answer with the cell pinned: the anchor stands for both.
+    if (!anchors_.empty()) {
+      anchors_[static_cast<std::size_t>(u)].cell = best_cell;
+    }
     // Initial placement, not a handoff: presence plus traffic, no
     // counters, no state carry. Band shells elsewhere stay absent.
     cells_[static_cast<std::size_t>(best_cell)]->attach_user_initial(
@@ -631,7 +707,7 @@ void CellularWorld::run_window(common::Time duration) {
   common::Time remaining = duration;
   while (remaining > kTimeEps) {
     const common::Time dt = std::min(config_.decision_interval, remaining);
-    // Epoch structure: the world plane — mobility, band rosters, pilot
+    // Epoch structure: the world plane — mobility and band checks, pilot
     // blending, the attachment rule — is computed in parallel over
     // contiguous user-id shards that emit proposals; the coordinator
     // merges every proposal in ascending user-id order between the
@@ -652,13 +728,10 @@ void CellularWorld::run_window(common::Time duration) {
       update_outage_flags(now_);
     }
     {
-      // Band maintenance from the new positions: entering users are
-      // admitted, leavers released — except each user's attached cell,
-      // which stays pinned until a handoff moves the user.
-      PhaseTimer timer(timings_.shard_plane_s);
-      propose_bands(/*include_attached=*/true);
-    }
-    {
+      // Band maintenance from the new positions (proposed by the mobility
+      // round): entering users are admitted, leavers released — except
+      // each user's attached cell, which stays pinned until a handoff
+      // moves the user.
       PhaseTimer timer(timings_.serial_plane_s);
       merge_band_proposals();
       replay_band_ops();
@@ -721,6 +794,7 @@ void CellularWorld::run(common::Time warmup, common::Time measure) {
   }
   handoffs_ = 0;
   timings_ = EpochTimings{};
+  band_queries_ = 0;
   run_window(measure);
 }
 

@@ -20,7 +20,10 @@
 //      (ProtocolEngine::band_admit: a fresh ChannelBank row, or a
 //      recycled one re-seeded from the per-(user, cell) visit counter)
 //      and release leavers (band_release), replaying per-cell op lists
-//      the coordinator merged in ascending user id,
+//      the coordinator merged in ascending user id. A user's band is
+//      re-queried only when it can have changed: once the user has moved
+//      the last query's slack (SiteIndex) or changed its attached cell;
+//      the check runs inside the mobility round's shard tasks,
 //   2. computes, per user, each band-resident (user, cell) link's mean SNR
 //      from distance-based path loss and its co-channel interference
 //      penalty (from the *previous* epoch's attached-user loads) — one
@@ -252,6 +255,12 @@ class CellularWorld {
   /// population clamps).
   unsigned shard_count() const { return num_shards_; }
 
+  /// Full band queries (SiteIndex::cells_near) the epoch loop made since
+  /// the last run() measurement window began: one per user whose band
+  /// anchor no longer proves its band unchanged. Always 0 in all-cells
+  /// mode, where the band never changes.
+  std::uint64_t band_queries() const { return band_queries_; }
+
   /// Cumulative wall-clock split of the epoch loop since the last run()
   /// measurement window began (reset together with the metrics):
   /// coordinator-only merge/apply work vs the sharded world-plane
@@ -319,6 +328,32 @@ class CellularWorld {
     std::uint64_t ticket = 0;
   };
 
+  /// Where a user's band was last queried: the position, the attached
+  /// cell pinned into the band then, and the squared slack of the query
+  /// (SiteIndex::cells_near). While the user stays strictly closer to
+  /// `pos` than the slack and stays attached to `cell`, a new query would
+  /// return the band it already holds.
+  struct BandAnchor {
+    Vec2 pos;
+    double slack_sq = 0.0;
+    int cell = -1;
+  };
+
+  /// Band-roster proposals: users whose band changed, ascending, and their
+  /// new rosters concatenated (ascending cells per user) with
+  /// offsets[k] .. offsets[k+1] delimiting users[k]'s.
+  struct BandProposals {
+    std::vector<std::uint32_t> users;
+    std::vector<int> cells;
+    std::vector<std::uint32_t> offsets;
+    void clear() {
+      users.clear();
+      cells.clear();
+      offsets.clear();
+      offsets.push_back(0);
+    }
+  };
+
   /// Per-shard proposal arena — everything a world-plane shard writes.
   /// Shards own disjoint arenas, so the parallel phases share nothing;
   /// vectors are clear()ed per epoch and reach steady capacity, after
@@ -326,18 +361,19 @@ class CellularWorld {
   /// vector headers never share a cache line with its neighbour's.
   struct alignas(64) ShardArena {
     std::vector<MobilityModel::Suspended> suspended;
-    /// The shard's users whose band changed, ascending, and their new
-    /// band rosters concatenated (ascending cells per user) with
-    /// offsets[k] .. offsets[k+1] delimiting band_users[k]'s.
-    std::vector<std::uint32_t> band_users;
-    std::vector<int> band_cells;
-    std::vector<std::uint32_t> band_offsets;
+    /// Band proposals of the users whose walks completed in the shard
+    /// task, and of the suspended walks, checked after resume.
+    BandProposals bands;
+    BandProposals resumed_bands;
+    std::uint64_t band_queries = 0;
     std::vector<AttachMove> moves;
     /// Attachment-rule gather scratch (one user's pilots + cell ids).
     std::vector<double> pilot_scratch;
     std::vector<int> cell_of_scratch;
     /// SiteIndex query dedup scratch (the thread-safe overload).
     std::vector<char> mark_scratch;
+    /// Debug builds' re-query of a skipped band.
+    std::vector<int> check_scratch;
   };
 
   /// Runs fn(shard, begin, end) over the contiguous user-id ranges of the
@@ -346,18 +382,28 @@ class CellularWorld {
   void for_each_user_shard(
       const std::function<void(std::size_t, std::size_t, std::size_t)>& fn);
 
-  /// Sharded mobility step to absolute time `t`: phase A advances every
-  /// shard's trajectories draw-free (suspending random-waypoint arrivals),
-  /// phase B resumes the suspended walks on the coordinator in ascending
-  /// user order — consuming the shared mobility stream in exactly the
-  /// serial advance_to draw sequence.
+  /// Sharded mobility step to absolute time `t`, with the band check:
+  /// phase A advances every shard's trajectories draw-free (suspending
+  /// random-waypoint arrivals) and checks the band of each user whose walk
+  /// completed; phase B resumes the suspended walks on the coordinator in
+  /// ascending user order — consuming the shared mobility stream in
+  /// exactly the serial advance_to draw sequence — and checks theirs.
   void advance_mobility(common::Time t);
 
-  /// Sharded band-roster proposals: each shard queries SiteIndex for its
-  /// users' new cell sets (plus the pinned attached cell when
-  /// `include_attached`) and proposes, into its arena, those that differ
-  /// from band_[u]. Pure computation — no engine is touched.
-  void propose_bands(bool include_attached);
+  /// One user's band check: re-queries (propose_user_band, into `out`)
+  /// only when the user has moved its anchor's slack or changed its
+  /// attached cell. Debug builds re-query a skipped band too and assert
+  /// that it is unchanged. Never called in all-cells mode.
+  void check_user_band(std::size_t u, ShardArena& arena, BandProposals& out);
+  /// One user's full band query: the SiteIndex cell set at its position
+  /// (plus the pinned attached cell when `include_attached`), appended to
+  /// `cells`; returns the query's slack. Pure computation.
+  double query_band(std::size_t u, bool include_attached,
+                    std::vector<int>& cells, std::vector<char>& mark) const;
+  /// query_band, re-anchoring the user, then proposes the new roster into
+  /// `out` when it differs from band_[u]. Touches no engine.
+  void propose_user_band(std::size_t u, bool include_attached,
+                         BandProposals& out, std::vector<char>& mark);
   /// Coordinator merge of the band proposals in ascending user-id order:
   /// rebuilds band_[u] and appends each entrant's admit and each leaver's
   /// release to its cell's op list (band_ops_) — O(users whose band
@@ -373,9 +419,10 @@ class CellularWorld {
   /// Replays every cell's op list inline on the coordinator (epoch churn:
   /// a handful of ops, not worth a pool round).
   void replay_band_ops();
-  /// World construction's bands: propose and merge from geometry alone,
-  /// reserve every cell's band storage to its final size, then replay the
-  /// op lists one pool task per cell — the task allocates nothing.
+  /// World construction's bands: query every user (sharded, anchoring
+  /// each), merge from geometry alone, reserve every cell's band storage
+  /// to its final size, then replay the op lists one pool task per cell —
+  /// the task allocates nothing.
   void admit_initial_bands();
   /// Grows each cell's plane scratch rows to the bank's current row count
   /// (vacant rows are never read; they only keep the spans full-size).
@@ -450,6 +497,9 @@ class CellularWorld {
   /// Per-user band residencies, ascending by cell — the sparse
   /// replacement for the dense users×cells filtered-pilot plane.
   std::vector<std::vector<BandPilot>> band_;
+  /// Per-user band anchors; empty in all-cells mode, where no band ever
+  /// changes.
+  std::vector<BandAnchor> anchors_;
   /// Per-cell slot-indexed epoch scratch: the mean-SNR row the link plane
   /// writes and the cell's bank is fed from, overwritten in place by the
   /// pilot snapshot. Only band members' slots are written or read.
@@ -489,6 +539,7 @@ class CellularWorld {
   double min_distance_sq_m2_ = 0.0;
   unsigned num_shards_ = 1;
   EpochTimings timings_;
+  std::uint64_t band_queries_ = 0;
   std::int64_t handoffs_ = 0;
   common::Time now_ = 0.0;
 };

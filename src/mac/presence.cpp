@@ -2,8 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace charisma::mac {
+
+namespace {
+/// The slack's rounding guard, relative to the magnitude of the coordinates
+/// a query works with. A computed squared distance is within a few ulps
+/// (~1e-15 relative) of the exact one, so a guard of 1e-12 keeps the slack
+/// below the exact crossing distance with a thousandfold margin, while
+/// costing well under a micrometre on a kilometre-scale field.
+constexpr double kSlackGuard = 1e-12;
+}  // namespace
 
 SiteIndex::SiteIndex(const SiteLayout& layout, double radius_m) {
   rebuild(layout, radius_m);
@@ -54,6 +64,9 @@ void SiteIndex::rebuild(const SiteLayout& layout, double radius_m) {
       std::max({radius_m_, (max_x - min_x) / kMaxBucketsPerAxis,
                 (max_y - min_y) / kMaxBucketsPerAxis});
   inv_bucket_ = 1.0 / edge;
+  bucket_edge_m_ = edge;
+  guard_scale_m_ = radius_m_ + (max_x - min_x) + (max_y - min_y) +
+                   std::abs(min_x) + std::abs(min_y);
   nx_ = std::max(1, static_cast<int>((max_x - min_x) * inv_bucket_) + 1);
   ny_ = std::max(1, static_cast<int>((max_y - min_y) * inv_bucket_) + 1);
   const std::size_t grid =
@@ -85,16 +98,16 @@ std::size_t SiteIndex::bucket_of(double x, double y) const {
          static_cast<std::size_t>(bx);
 }
 
-void SiteIndex::cells_near(const Vec2& p, std::vector<int>& out) const {
-  cells_near(p, out, mark_);
+double SiteIndex::cells_near(const Vec2& p, std::vector<int>& out) const {
+  return cells_near(p, out, mark_);
 }
 
-void SiteIndex::cells_near(const Vec2& p, std::vector<int>& out,
-                           std::vector<char>& scratch) const {
+double SiteIndex::cells_near(const Vec2& p, std::vector<int>& out,
+                             std::vector<char>& scratch) const {
   const int sites = layout_->num_sites();
   if (radius_m_ <= 0.0) {
     for (int s = 0; s < sites; ++s) out.push_back(s);
-    return;
+    return std::numeric_limits<double>::infinity();
   }
   if (scratch.size() < static_cast<std::size_t>(sites)) {
     scratch.assign(static_cast<std::size_t>(sites), 0);
@@ -108,9 +121,16 @@ void SiteIndex::cells_near(const Vec2& p, std::vector<int>& out,
   const int cy = static_cast<int>(
       std::clamp(std::floor((p.y - origin_y_) * inv_bucket_),
                  0.0, static_cast<double>(ny_ - 1)));
-  bool found = false;
-  for (int by = std::max(0, cy - 1); by <= std::min(ny_ - 1, cy + 1); ++by) {
-    for (int bx = std::max(0, cx - 1); bx <= std::min(nx_ - 1, cx + 1); ++bx) {
+  const int bx_lo = std::max(0, cx - 1);
+  const int bx_hi = std::min(nx_ - 1, cx + 1);
+  const int by_lo = std::max(0, cy - 1);
+  const int by_hi = std::min(ny_ - 1, cy + 1);
+  // The slack's inputs: the farthest in-range image and the nearest
+  // visited image out of range.
+  double in_max_sq = -1.0;
+  double out_min_sq = std::numeric_limits<double>::infinity();
+  for (int by = by_lo; by <= by_hi; ++by) {
+    for (int bx = bx_lo; bx <= bx_hi; ++bx) {
       const auto& bucket =
           buckets_[static_cast<std::size_t>(by) *
                        static_cast<std::size_t>(nx_) +
@@ -118,28 +138,41 @@ void SiteIndex::cells_near(const Vec2& p, std::vector<int>& out,
       for (const Entry& e : bucket) {
         const double dx = p.x - e.pos.x;
         const double dy = p.y - e.pos.y;
-        if (dx * dx + dy * dy > radius_sq_m2_) continue;
-        if (!scratch[static_cast<std::size_t>(e.site)]) {
-          scratch[static_cast<std::size_t>(e.site)] = 1;
-          found = true;
+        const double d_sq = dx * dx + dy * dy;
+        if (d_sq > radius_sq_m2_) {
+          out_min_sq = std::min(out_min_sq, d_sq);
+          continue;
         }
+        in_max_sq = std::max(in_max_sq, d_sq);
+        scratch[static_cast<std::size_t>(e.site)] = 1;
       }
     }
   }
-  if (!found) {
+  const double guard =
+      kSlackGuard * (guard_scale_m_ + std::abs(p.x) + std::abs(p.y));
+  if (in_max_sq < 0.0) {
     // No band covers the position: the user still needs a serving
     // candidate, so fall back to the nearest site under the wrap metric.
+    // The answer holds until some site comes within the radius or another
+    // site becomes the nearest, which takes half the gap to the runner-up.
     int best = 0;
     double best_sq = layout_->distance_sq(p, 0);
+    double second_sq = std::numeric_limits<double>::infinity();
     for (int s = 1; s < sites; ++s) {
       const double d = layout_->distance_sq(p, s);
       if (d < best_sq) {
+        second_sq = best_sq;
         best_sq = d;
         best = s;
+      } else if (d < second_sq) {
+        second_sq = d;
       }
     }
     out.push_back(best);
-    return;
+    const double nearest = std::sqrt(best_sq);
+    const double slack = std::min(nearest - radius_m_,
+                                  0.5 * (std::sqrt(second_sq) - nearest));
+    return std::max(0.0, slack - guard);
   }
   for (int s = 0; s < sites; ++s) {
     if (scratch[static_cast<std::size_t>(s)]) {
@@ -147,6 +180,22 @@ void SiteIndex::cells_near(const Vec2& p, std::vector<int>& out,
       scratch[static_cast<std::size_t>(s)] = 0;
     }
   }
+  double slack = radius_m_ - std::sqrt(in_max_sq);
+  slack = std::min(slack, std::sqrt(out_min_sq) - radius_m_);
+  // Images in buckets the query did not visit lie beyond the visited
+  // block's edges; an edge with no buckets beyond it bounds nothing.
+  const double rx = p.x - origin_x_;
+  const double ry = p.y - origin_y_;
+  const double edge = bucket_edge_m_;
+  if (bx_lo > 0) slack = std::min(slack, rx - bx_lo * edge - radius_m_);
+  if (bx_hi < nx_ - 1) {
+    slack = std::min(slack, (bx_hi + 1) * edge - rx - radius_m_);
+  }
+  if (by_lo > 0) slack = std::min(slack, ry - by_lo * edge - radius_m_);
+  if (by_hi < ny_ - 1) {
+    slack = std::min(slack, (by_hi + 1) * edge - ry - radius_m_);
+  }
+  return std::max(0.0, slack - guard);
 }
 
 }  // namespace charisma::mac

@@ -13,6 +13,13 @@
 // world-plane loop relies on) and never return an empty set: a position
 // outside every band falls back to its nearest site, so a user always has
 // at least one candidate cell to attach to.
+//
+// Each query also returns its slack: a distance the position can move, in
+// any direction, before the answer can change. Band membership only
+// changes when the position crosses a range circle (or, in the fallback,
+// when another site becomes the nearest), and each site's distance moves
+// at most as far as the position does, so a caller that keeps the last
+// query's position may skip every query closer to it than the slack.
 #pragma once
 
 #include <vector>
@@ -42,15 +49,22 @@ class SiteIndex {
   /// order; the nearest site alone when none is in range; every site when
   /// the radius is <= 0. `out` is not cleared. Uses mutable mark scratch —
   /// coordinator-only, not safe to call concurrently.
-  void cells_near(const Vec2& p, std::vector<int>& out) const;
+  ///
+  /// Returns the query's slack (m, >= 0): every position strictly closer
+  /// to `p` than the slack gets the same answer. It is the distance to the
+  /// nearest range-circle crossing among the sites the query visits (the
+  /// edge of the visited buckets bounds the rest), capped in the fallback
+  /// at half the gap between the nearest and second-nearest site, and
+  /// shrunk by a rounding guard; infinite in all-cells mode.
+  double cells_near(const Vec2& p, std::vector<int>& out) const;
 
   /// Concurrency-safe variant for sharded callers: identical results, but
   /// the per-site dedup scratch is caller-owned (one per shard), so
   /// queries on distinct scratches may run in parallel. `scratch` is
   /// resized on first use and must not be shared between concurrent
   /// callers; its entries must be (and are left) all-zero.
-  void cells_near(const Vec2& p, std::vector<int>& out,
-                  std::vector<char>& scratch) const;
+  double cells_near(const Vec2& p, std::vector<int>& out,
+                    std::vector<char>& scratch) const;
 
   /// True in all-cells mode (radius <= 0): band membership is the whole
   /// layout and never changes.
@@ -71,6 +85,10 @@ class SiteIndex {
   double origin_x_ = 0.0;
   double origin_y_ = 0.0;
   double inv_bucket_ = 0.0;
+  double bucket_edge_m_ = 0.0;
+  /// Magnitude (m) of the coordinates the queries' distances are computed
+  /// from; the slack's rounding guard is a tiny fraction of it plus |p|.
+  double guard_scale_m_ = 0.0;
   int nx_ = 0;
   int ny_ = 0;
   std::vector<std::vector<Entry>> buckets_;

@@ -30,7 +30,7 @@ struct ScenarioParams {
   phy::PhyConfig phy{};
 
   /// Design point (dB) of the fixed-throughput PHY used by the
-  /// non-adaptive baselines (DESIGN.md calibration).
+  /// non-adaptive baselines: the SNR at which they meet the target BER.
   double fixed_phy_reference_db = 9.75;
 
   // Traffic model (paper §2).

@@ -16,7 +16,7 @@ class FixedPhy {
   /// (the design point of the static link budget).
   FixedPhy(double ber_reference_db, double target_ber, int packet_bits);
 
-  /// Defaults from DESIGN.md: 1 bit/symbol, design point 7 dB, BER 1e-5,
+  /// The standard scheme: 1 bit/symbol, design point 7 dB, BER 1e-5,
   /// 160-bit packets.
   static FixedPhy standard();
 

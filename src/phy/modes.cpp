@@ -54,7 +54,7 @@ ModeTable ModeTable::custom(const std::vector<double>& bits_per_symbol,
 }
 
 ModeTable ModeTable::abicm6(double target_ber) {
-  // Thresholds calibrated in DESIGN.md: the trellis-coded low modes are
+  // Calibrated thresholds: the trellis-coded low modes are
   // more robust than the legacy fixed-rate design point (10 dB), while the
   // dense high modes match adaptive-modulation ladders.
   return custom({0.5, 1.0, 2.0, 3.0, 4.0, 5.0},

@@ -152,7 +152,7 @@ TEST(FadingStatistics, MeanThroughputMatchesSimulation) {
     sum += table.normalized_throughput(table.select(ch.snr_linear(0)));
   }
   EXPECT_NEAR(sum / steps, analytic, 0.05);
-  // And it sits in the "roughly 2-3x the fixed PHY" band of DESIGN.md.
+  // And it sits roughly 2-3.6x above the fixed PHY's throughput.
   EXPECT_GT(analytic, 2.0);
   EXPECT_LT(analytic, 3.6);
 }
@@ -178,7 +178,7 @@ TEST(VoiceCapacity, OverflowLossMonotone) {
 }
 
 TEST(VoiceCapacity, NoQueueCapacityNearCalibrationTarget) {
-  // DESIGN.md's calibration: the pure Poisson overflow model (every packet
+  // The calibration target: the pure Poisson overflow model (every packet
   // one allocation chance, no re-contention recovery) puts the 1% knee
   // near 107 users for the default geometry; the simulated protocol's
   // re-contention pushes the observed knee ~30% further right.

@@ -2,12 +2,17 @@
 // O(sites-per-query) reference, across line/hex layouts, wrap on/off, and
 // band radii from degenerate (every query falls back to the nearest site)
 // to all-covering — including positions exactly on bucket edges and on the
-// range circle, where a binning bug would first show.
+// range circle, where a binning bug would first show. The query's slack is
+// checked the same way: no displacement shorter than it may change the
+// answer.
 #include "mac/presence.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <numbers>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -87,6 +92,26 @@ std::vector<Vec2> probe_points(const SiteLayout& layout, double radius_m,
   return pts;
 }
 
+// The slack's promise: every position strictly closer to `p` than the
+// returned slack gets the brute-force answer `p` got. Probes eight
+// directions at 0.999 of the slack (capped at 10 km, for the infinite
+// slack of the all-cells band).
+void expect_slack_holds(const SiteLayout& layout, double radius_m,
+                        const Vec2& p, double slack) {
+  ASSERT_GE(slack, 0.0);
+  const double reach = 0.999 * std::min(slack, 1e4);
+  if (reach <= 0.0) return;
+  const auto want = brute_force(layout, p, radius_m);
+  for (int k = 0; k < 8; ++k) {
+    const double a = 0.25 * std::numbers::pi * k + 0.1;
+    const Vec2 q{p.x + reach * std::cos(a), p.y + reach * std::sin(a)};
+    EXPECT_EQ(brute_force(layout, q, radius_m), want)
+        << "radius " << radius_m << ": slack " << slack << " at (" << p.x
+        << ", " << p.y << ") does not hold toward (" << q.x << ", " << q.y
+        << ")";
+  }
+}
+
 void expect_matches_brute_force(const SiteLayout& layout, double radius_m,
                                 double width_m, double height_m) {
   SiteIndex index(layout, radius_m);
@@ -95,14 +120,18 @@ void expect_matches_brute_force(const SiteLayout& layout, double radius_m,
   for (const Vec2& p : probe_points(layout, radius_m, width_m, height_m)) {
     const auto want = brute_force(layout, p, radius_m);
     got.clear();
-    index.cells_near(p, got);
+    const double slack = index.cells_near(p, got);
     EXPECT_EQ(got, want) << "radius " << radius_m << " at (" << p.x << ", "
                          << p.y << ")";
     EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
+    expect_slack_holds(layout, radius_m, p, slack);
+    if (radius_m <= 0.0) {  // the all-cells band never changes
+      EXPECT_EQ(slack, std::numeric_limits<double>::infinity());
+    }
     // The concurrency-safe overload (per-shard scratch) must agree and
     // leave the scratch all-zero for the next query.
     got.clear();
-    index.cells_near(p, got, scratch);
+    EXPECT_EQ(index.cells_near(p, got, scratch), slack);
     EXPECT_EQ(got, want);
     EXPECT_TRUE(std::all_of(scratch.begin(), scratch.end(),
                             [](char c) { return c == 0; }));
@@ -157,6 +186,78 @@ TEST(SiteIndexProperty, NearestSiteFallbackPrefersLowestIdOnTies) {
   std::vector<int> got;
   index.cells_near(mid, got);
   EXPECT_EQ(got, std::vector<int>{0});
+}
+
+TEST(SiteIndexSlack, CircleBoundaryAtAndWithinANanometre) {
+  // A site's range circle is inclusive: a point exactly R away is in the
+  // band, one 1e-9 m further is out. On the circle the slack is 0 (the
+  // next query must re-check), and a nanometre either side it is at most
+  // that nanometre. Sites are 1000 m apart, so the probes also sit inside
+  // site 2's circle and never take the nearest-site fallback.
+  const double width = 4000.0, height = 1000.0;
+  const double r = 600.0;
+  SiteLayout layout(SiteLayoutConfig{}, /*num_cells=*/4, width, height);
+  SiteIndex index(layout, r);
+  const Vec2 site = layout.position(1);
+  const auto has_site = [](const std::vector<int>& cells) {
+    return std::find(cells.begin(), cells.end(), 1) != cells.end();
+  };
+  std::vector<int> got;
+
+  const Vec2 on{site.x + r, site.y};
+  ASSERT_EQ(layout.distance_sq(on, 1), r * r);
+  double slack = index.cells_near(on, got);
+  EXPECT_TRUE(has_site(got));
+  EXPECT_EQ(got, brute_force(layout, on, r));
+  EXPECT_EQ(slack, 0.0);
+
+  const Vec2 inside{site.x + r - 1e-9, site.y};
+  got.clear();
+  slack = index.cells_near(inside, got);
+  EXPECT_TRUE(has_site(got));
+  EXPECT_EQ(got, brute_force(layout, inside, r));
+  EXPECT_LE(slack, 1e-9);
+  // Half the slack further out the site is still in range; 2e-9 m
+  // further it has left.
+  got.clear();
+  index.cells_near({inside.x + 0.5 * slack, site.y}, got);
+  EXPECT_TRUE(has_site(got));
+  got.clear();
+  index.cells_near({inside.x + 2e-9, site.y}, got);
+  EXPECT_FALSE(has_site(got));
+
+  const Vec2 outside{site.x + r + 1e-9, site.y};
+  got.clear();
+  slack = index.cells_near(outside, got);
+  EXPECT_FALSE(has_site(got));
+  EXPECT_EQ(got, brute_force(layout, outside, r));
+  EXPECT_LE(slack, 1e-9);
+  got.clear();
+  index.cells_near({outside.x - 2e-9, site.y}, got);
+  EXPECT_TRUE(has_site(got));
+}
+
+TEST(SiteIndexSlack, FallbackSlackIsCappedByTheRunnerUpSite) {
+  // Outside every circle the answer is the nearest site, which holds only
+  // while no other site can overtake it: the slack is at most half the gap
+  // to the runner-up, and 0 on the bisector between two sites.
+  const double width = 2000.0, height = 1000.0;
+  SiteLayout layout(SiteLayoutConfig{}, /*num_cells=*/2, width, height);
+  const Vec2 a = layout.position(0);
+  const Vec2 b = layout.position(1);
+  SiteIndex index(layout, 1e-3);
+  std::vector<int> got;
+  const Vec2 mid{0.5 * (a.x + b.x), 0.5 * (a.y + b.y)};
+  EXPECT_EQ(index.cells_near(mid, got), 0.0);
+  const Vec2 p{mid.x - 60.0, mid.y};  // 60 m toward site 0
+  got.clear();
+  const double slack = index.cells_near(p, got);
+  EXPECT_EQ(got, std::vector<int>{0});
+  const double gap = std::sqrt(layout.distance_sq(p, 1)) -
+                     std::sqrt(layout.distance_sq(p, 0));
+  EXPECT_LE(slack, 0.5 * gap);
+  EXPECT_GT(slack, 0.5 * gap - 1e-6);
+  expect_slack_holds(layout, 1e-3, p, slack);
 }
 
 TEST(SiteIndexProperty, RebuildReusesStorageAndStaysCorrect) {

@@ -5,13 +5,16 @@
 // lets the bench hand out 1×..N× thread sweeps as the *same* experiment.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cctype>
 #include <cmath>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "experiment/knobs.hpp"
 #include "mac/cellular_world.hpp"
 #include "protocols/factory.hpp"
 
@@ -480,6 +483,115 @@ TEST(WorldDeterminismExtra, EachUserHoldsSourcesOnlyInItsAttachedShell) {
     }
     EXPECT_GT(world.handoffs(), 0);
     EXPECT_GT(world.aggregate_metrics().outage_evictions, 0);
+  }
+}
+
+// ---- Band maintenance: the anchor skip against a brute-force oracle ----
+// A user's band is re-queried only when it has moved its anchor's slack or
+// changed its attached cell. Every epoch, each user's band must still be
+// exactly what a full query says: the sites within the radius under the
+// wrap metric (the nearest site when none is), plus the cell the user was
+// attached to when the epoch's band update ran — before the epoch's
+// hand-offs, whose targets are band cells already.
+
+std::vector<int> brute_force_band(const CellularWorld& world, double radius_m,
+                                  common::UserId user, int attached) {
+  const int cells = world.num_cells();
+  std::vector<int> band;
+  if (radius_m <= 0.0) {
+    for (int c = 0; c < cells; ++c) band.push_back(c);
+    return band;
+  }
+  const Vec2 p = world.mobility().position(user);
+  const auto& layout = world.layout();
+  for (int c = 0; c < cells; ++c) {
+    if (layout.distance_sq(p, c) <= radius_m * radius_m) band.push_back(c);
+  }
+  if (band.empty()) {
+    int best = 0;
+    for (int c = 1; c < cells; ++c) {
+      if (layout.distance_sq(p, c) < layout.distance_sq(p, best)) best = c;
+    }
+    band.push_back(best);
+  }
+  const auto it = std::lower_bound(band.begin(), band.end(), attached);
+  if (it == band.end() || *it != attached) band.insert(it, attached);
+  return band;
+}
+
+/// Users no site's circle covers at their current position (they hold the
+/// nearest-site fallback band).
+int fallback_users(const CellularWorld& world, double radius_m) {
+  int n = 0;
+  for (int u = 0; u < world.mobility().size(); ++u) {
+    const Vec2 p = world.mobility().position(u);
+    bool covered = false;
+    for (int c = 0; c < world.num_cells(); ++c) {
+      covered = covered ||
+                world.layout().distance_sq(p, c) <= radius_m * radius_m;
+    }
+    n += covered ? 0 : 1;
+  }
+  return n;
+}
+
+TEST(WorldDeterminismBandOracle, EveryEpochMatchesBruteForce) {
+  // Line, hex and wrapped-hex layouts (500 m cell radius, so 1000 m site
+  // spacing), the all-cells band and three partial radii, parked to
+  // vehicular users, an outage that forces evictions (attached-cell
+  // changes the anchor must notice), one and four threads.
+  const std::vector<std::string> layouts = {
+      "layout=line cells=4 mobility=vector",
+      "layout=hex cells=7 reuse=3",
+      "layout=hex cells=7 reuse=1 wrap=1",
+  };
+  for (const auto& layout : layouts) {
+    for (const int band : {0, 500, 700, 1200}) {
+      for (const int kmh : {0, 50, 120}) {
+        for (const int threads : {1, 4}) {
+          const std::string knobs_line =
+              layout + " band=" + std::to_string(band) +
+              " kmh=" + std::to_string(kmh) +
+              " threads=" + std::to_string(threads) +
+              " voice_users=32 data_users=8 seed=5 outage=2:0.1:0.3";
+          SCOPED_TRACE(knobs_line);
+          std::vector<std::string> args;
+          std::string token;
+          std::istringstream stream(knobs_line);
+          while (stream >> token) args.push_back(token);
+          const auto knobs = experiment::parse_knobs(args);
+          CellularWorld world(knobs.world,
+                              factory_for(protocols::ProtocolId::kCharisma));
+          const int users = knobs.world.params.total_users();
+          if (band == 500) {
+            // The 500 m circles leave gaps between sites (and the field's
+            // corners): some users start on the nearest-site fallback.
+            EXPECT_GT(fallback_users(world, band), 0);
+          }
+          const int epochs = 75;
+          std::vector<int> attached(static_cast<std::size_t>(users));
+          for (int epoch = 0; epoch < epochs; ++epoch) {
+            for (common::UserId u = 0; u < users; ++u) {
+              attached[static_cast<std::size_t>(u)] = world.attached_cell(u);
+            }
+            world.advance(knobs.world.decision_interval);
+            for (common::UserId u = 0; u < users; ++u) {
+              ASSERT_EQ(world.band_cells(u),
+                        brute_force_band(world, band, u,
+                                         attached[static_cast<std::size_t>(u)]))
+                  << "epoch " << epoch << " user " << u;
+            }
+          }
+          const auto checks = static_cast<std::uint64_t>(users) * epochs;
+          if (band == 0) {
+            EXPECT_EQ(world.band_queries(), 0u);  // the band never changes
+          } else if (kmh > 0) {
+            EXPECT_GT(world.band_queries(), 0u);
+            EXPECT_LT(world.band_queries(), checks);
+          }
+        }
+      }
+    }
   }
 }
 
